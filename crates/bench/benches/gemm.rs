@@ -1,6 +1,6 @@
-//! Compute-core benchmarks: GEMM kernels, the width-32 VAE training
-//! step, and pooled batch evaluation — every A/B measured against the
-//! retained naive reference kernels.
+//! Compute-core benchmarks: GEMM kernels and the width-32 VAE training
+//! step — every A/B measured against the retained naive reference
+//! kernels.
 //!
 //! Beyond timing, this bench *gates* the tentpole claims (outside
 //! `--test` smoke mode):
@@ -25,9 +25,7 @@ use cv_nn::gemm::{KernelMode, SimdLevel};
 use cv_nn::{gemm, ParamStore};
 use cv_pool::WorkerPool;
 use cv_prefix::{mutate, topologies, CircuitKind, GridMetrics, PrefixGrid};
-use cv_synth::{
-    CachedEvaluator, CostParams, EvalRecord, EvalSession, Objective, ParetoArchive, SynthesisFlow,
-};
+use cv_synth::{CostParams, EvalSession, SynthesisFlow};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::{Mutex, OnceLock};
@@ -579,163 +577,6 @@ fn bench_simd_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-fn eval_grids(width: usize, count: usize, seed: u64) -> Vec<PrefixGrid> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..count)
-        .map(|_| mutate::random_grid(width, 0.3, &mut rng))
-        .collect()
-}
-
-fn bench_evaluate_batch(c: &mut Criterion) {
-    let mut group = c.benchmark_group("evaluate_batch_w16");
-    group.bench_function("pool_vs_serial", |b| {
-        b.iter(|| {
-            let width = 16;
-            let grids = eval_grids(width, if smoke() { 6 } else { 16 }, 0xFEED);
-            let make = || {
-                CachedEvaluator::new(Objective::new(
-                    SynthesisFlow::new(nangate45_like(), CircuitKind::Adder, width),
-                    CostParams::new(0.66),
-                ))
-            };
-            let serial_ev = make();
-            let t = Instant::now();
-            let serial: Vec<EvalRecord> = grids.iter().map(|g| serial_ev.evaluate(g)).collect();
-            let serial_ms = t.elapsed().as_secs_f64() * 1e3;
-            let pool_ev = make();
-            let t = Instant::now();
-            let pooled = pool_ev.evaluate_batch(&grids, 8);
-            let pool_ms = t.elapsed().as_secs_f64() * 1e3;
-            assert_eq!(serial, pooled, "batch path diverged from sequential");
-            assert_eq!(serial_ev.counter().count(), pool_ev.counter().count());
-            // What the timed region could actually run in parallel: the
-            // requested 8 chunks, capped by the pool and the batch.
-            let threads = 8.min(WorkerPool::global().threads()).min(grids.len());
-            println!(
-                "evaluate_batch_w16: serial {serial_ms:.1} ms -> pool {pool_ms:.1} ms ({threads} effective threads)"
-            );
-            report().lock().unwrap().evaluate_batch = Some(AbPerf {
-                width,
-                naive_ms: serial_ms,
-                fast_ms: pool_ms,
-                threads,
-                simd_level: gemm::simd_level().name(),
-            });
-        })
-    });
-    group.finish();
-}
-
-/// Builds the `evaluate_batch` thread-scaling curve on a width-32 batch:
-/// for each thread count a dedicated `WorkerPool::new(t)` runs
-/// `evaluate_batch_on` against a fresh evaluator, gated on bit-identity
-/// with the sequential path — records, simulation counts, archive
-/// observation stamps, and archive checkpoint bytes (smoke mode too).
-///
-/// The sequential baseline times every call individually; the
-/// first-occurrence times of the unique legalized keys (the exact set
-/// the batch path simulates) feed a zero-contention makespan model:
-/// chunk `c` of `ceil(P/t)` keys lands on worker `c % workers` (the
-/// pool's static assignment), a worker's cost is the sum of its chunks'
-/// measured times, and the makespan is the busiest worker plus the
-/// measured sequential residue (dedup, cache probes, publish). On a
-/// machine with fewer cores than threads the model — not the
-/// timeshared wall clock — is the honest speedup estimate, and the
-/// report labels it as such.
-fn batch_scaling_curve() -> ScalingCurve {
-    let count = if smoke() { 10 } else { 48 };
-    let mut grids = eval_grids(WIDTH, count, 0x5CA1E);
-    // Duplicates exercise first-occurrence dedup in every run.
-    grids.push(grids[1].clone());
-    grids.push(grids[3].clone());
-    let make = || {
-        CachedEvaluator::new(Objective::new(
-            SynthesisFlow::new(nangate45_like(), CircuitKind::Adder, WIDTH),
-            CostParams::new(0.66),
-        ))
-    };
-    let seq_ev = make();
-    let seq_arch = ParetoArchive::new().with_log().into_shared();
-    seq_ev.attach_archive(seq_arch.clone());
-    let t0 = Instant::now();
-    let mut call_ms = Vec::with_capacity(grids.len());
-    let seq: Vec<EvalRecord> = grids
-        .iter()
-        .map(|g| {
-            let t = Instant::now();
-            let r = seq_ev.evaluate(g);
-            call_ms.push(t.elapsed().as_secs_f64() * 1e3);
-            r
-        })
-        .collect();
-    let baseline_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let seq_bytes = seq_arch.lock().to_ckpt_bytes();
-    // Per-key costs in first-occurrence order: on a fresh evaluator the
-    // first occurrence of each unique legalized key is the one counted
-    // simulation; later occurrences are cache hits.
-    let mut seen = std::collections::HashSet::new();
-    let key_ms: Vec<f64> = grids
-        .iter()
-        .zip(&call_ms)
-        .filter(|(g, _)| {
-            seen.insert(if g.is_legal() {
-                (*g).clone()
-            } else {
-                g.legalized()
-            })
-        })
-        .map(|(_, ms)| *ms)
-        .collect();
-    let residue_ms = (baseline_ms - key_ms.iter().sum::<f64>()).max(0.0);
-    let mut points = Vec::new();
-    for t in SCALE_THREADS {
-        let pool = WorkerPool::new(t);
-        let ev = make();
-        let arch = ParetoArchive::new().with_log().into_shared();
-        ev.attach_archive(arch.clone());
-        let t0 = Instant::now();
-        let batch = ev.evaluate_batch_on(&pool, &grids, t);
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        // The determinism contract, asserted at every measured point.
-        assert_eq!(batch, seq, "threads={t}: batch diverged from sequential");
-        assert_eq!(
-            ev.counter().count(),
-            seq_ev.counter().count(),
-            "threads={t}: simulation count diverged"
-        );
-        assert_eq!(
-            arch.lock().observations(),
-            seq_arch.lock().observations(),
-            "threads={t}: archive observation stamps diverged"
-        );
-        assert_eq!(
-            arch.lock().to_ckpt_bytes(),
-            seq_bytes,
-            "threads={t}: archive checkpoint bytes diverged"
-        );
-        // Zero-contention makespan over the pool's static assignment.
-        let workers = pool.threads();
-        let t_eff = t.clamp(1, grids.len());
-        let chunk = key_ms.len().div_ceil(t_eff).max(1);
-        let mut per_worker = vec![0.0f64; workers];
-        for (c, part) in key_ms.chunks(chunk).enumerate() {
-            per_worker[c % workers] += part.iter().sum::<f64>();
-        }
-        let makespan = per_worker.iter().copied().fold(0.0f64, f64::max);
-        points.push(ScalePoint {
-            threads: t,
-            workers,
-            wall_ms,
-            modeled_ms: Some(residue_ms + makespan),
-        });
-    }
-    ScalingCurve {
-        width: WIDTH,
-        baseline_ms,
-        points,
-    }
-}
-
 /// The training-step scaling curve: gradient-accumulation chunk counts
 /// 1/2/4/8/16 on the global pool. No per-chunk instrumentation exists
 /// inside a training step, so these points are wall-clock only
@@ -771,47 +612,25 @@ fn training_scaling_curve() -> ScalingCurve {
     }
 }
 
-/// Thread-scaling curves for `evaluate_batch` and the training step,
-/// plus the tentpole gate: the batch headline speedup at 8 threads must
-/// be ≥4x (outside smoke mode). The heavy protocol runs once per
-/// process; bench iterations reuse the curves.
+/// The training-step thread-scaling curve. The heavy protocol runs once
+/// per process; bench iterations reuse the curve.
 fn bench_thread_scaling(c: &mut Criterion) {
-    static CURVES: OnceLock<(ScalingCurve, ScalingCurve)> = OnceLock::new();
+    static CURVE: OnceLock<ScalingCurve> = OnceLock::new();
     let mut group = c.benchmark_group("thread_scaling");
     group.bench_function("curves", |b| {
         b.iter(|| {
-            let (batch, training) =
-                CURVES.get_or_init(|| (batch_scaling_curve(), training_scaling_curve()));
-            let cores = cpu_cores();
-            for (name, curve) in [("evaluate_batch", batch), ("training_step", training)] {
-                for p in &curve.points {
-                    let (speedup, basis) = p.headline(curve.baseline_ms, cores);
-                    println!(
-                        "scaling/{name} w{}: t={} workers={} wall {:.1} ms ({:.2}x wall) headline {:.2}x [{basis}]",
-                        curve.width,
-                        p.threads,
-                        p.workers,
-                        p.wall_ms,
-                        p.wall_speedup(curve.baseline_ms),
-                        speedup,
-                    );
-                }
-            }
-            if !smoke() {
-                let p8 = batch
-                    .points
-                    .iter()
-                    .find(|p| p.threads == 8)
-                    .expect("curve covers 8 threads");
-                let (speedup, basis) = p8.headline(batch.baseline_ms, cores);
-                assert!(
-                    speedup >= 4.0,
-                    "evaluate_batch must reach >=4x at 8 threads, got {speedup:.2}x [{basis}]"
+            let curve = CURVE.get_or_init(training_scaling_curve);
+            for p in &curve.points {
+                println!(
+                    "scaling/training_step w{}: t={} workers={} wall {:.1} ms ({:.2}x wall)",
+                    curve.width,
+                    p.threads,
+                    p.workers,
+                    p.wall_ms,
+                    p.wall_speedup(curve.baseline_ms),
                 );
             }
-            let mut r = report().lock().unwrap();
-            r.batch_scaling = Some(batch.clone());
-            r.training_scaling = Some(training.clone());
+            report().lock().unwrap().training_scaling = Some(curve.clone());
         })
     });
     group.finish();
@@ -874,7 +693,6 @@ criterion_group!(
     bench_gemm_kernels,
     bench_training_step_w32,
     bench_simd_scaling,
-    bench_evaluate_batch,
     bench_thread_scaling,
     bench_incremental_point,
     bench_write_report

@@ -287,9 +287,10 @@ pub struct PerfReport {
     pub gemm: Vec<GemmPerf>,
     /// Width-32 VAE training-step A/B.
     pub training_step: Option<AbPerf>,
-    /// `evaluate_batch` pool path vs. sequential loop.
+    /// Retired `evaluate_batch` A/B: the batch path is gone, so this
+    /// always serializes as `null`.
     pub evaluate_batch: Option<AbPerf>,
-    /// `evaluate_batch` thread-scaling curve (1/2/4/8/16).
+    /// Retired `evaluate_batch` scaling curve (always `null`).
     pub batch_scaling: Option<ScalingCurve>,
     /// Training-step thread-scaling curve (1/2/4/8/16).
     pub training_scaling: Option<ScalingCurve>,

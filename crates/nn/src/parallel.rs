@@ -203,8 +203,7 @@ mod tests {
 
     #[test]
     fn degenerate_thread_counts_and_empty_batches_are_safe() {
-        // Regression (same bug class as the `evaluate_batch` thread
-        // regression): `threads == 0`, `threads > items.len()`, and an
+        // Regression: `threads == 0`, `threads > items.len()`, and an
         // empty batch must all be handled without panicking, and the
         // thread count must never change the result structure.
         let mut store = ParamStore::new();

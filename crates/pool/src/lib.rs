@@ -2,7 +2,7 @@
 //!
 //! Every hot path in the workspace that previously spawned fresh
 //! `std::thread::scope` threads per call (GEMM row blocks, data-parallel
-//! gradient accumulation, batched evaluation, campaign grids) dispatches
+//! gradient accumulation, campaign grids) dispatches
 //! onto one set of long-lived workers instead. The pool's contract is
 //! the determinism contract of DESIGN.md Contract 9:
 //!
@@ -36,10 +36,6 @@
 //! of DESIGN.md Contract 13.
 
 #![deny(missing_docs)]
-
-mod slots;
-
-pub use slots::WorkerSlots;
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -171,16 +167,11 @@ impl WorkerPool {
         Self::current_worker().is_some()
     }
 
-    /// The current thread's worker index, when it is a pool worker.
-    ///
-    /// Indices are 0-based and stable for the thread's lifetime, which
-    /// makes them usable as slots into worker-indexed storage (see
-    /// [`WorkerSlots`]): under static assignment, task `t` always sees
-    /// the same index `t % threads`, so per-worker resident state stays
-    /// warm across dispatches. Non-worker threads (including the
-    /// dispatcher, and every thread of a 1-thread pool, which runs
-    /// inline) return `None`.
-    pub fn current_worker() -> Option<usize> {
+    /// The current thread's worker index (0-based, stable for the
+    /// thread's lifetime), when it is a pool worker. Non-worker threads
+    /// (including the dispatcher, and every thread of a 1-thread pool,
+    /// which runs inline) return `None`.
+    fn current_worker() -> Option<usize> {
         WORKER_ID.with(std::cell::Cell::get)
     }
 

@@ -1,17 +1,14 @@
 //! Cost evaluators: the black-box function `f` of Algorithm 1, with
-//! caching, simulation accounting, and parallel batch evaluation.
+//! caching and simulation accounting.
 
 use crate::cost::{CostParams, PpaReport};
 use crate::flow::SynthesisFlow;
 use crate::pareto::SharedArchive;
 use crate::session::EvalSession;
-use cv_pool::{WorkerPool, WorkerSlots};
 use cv_prefix::PrefixGrid;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
-use std::hash::{Hash, Hasher};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -34,14 +31,6 @@ impl SimCounter {
     /// Adds `n` simulations.
     pub fn add(&self, n: usize) {
         self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Adds `n` simulations and returns the count *after* the add, as
-    /// one atomic step — the pair a concurrent observer needs (a
-    /// separate `add` + `count` could interleave with another thread
-    /// and stamp duplicate or skipped counts).
-    pub fn add_and_count(&self, n: usize) -> usize {
-        self.0.fetch_add(n, Ordering::Relaxed) + n
     }
 
     /// Overwrites the count — only meaningful while no evaluation is in
@@ -148,57 +137,17 @@ impl Objective {
     }
 }
 
-/// A cache slot: `None` while its owning thread is synthesizing.
-type Slot = Arc<Mutex<Option<EvalRecord>>>;
-
-/// One lock stripe of the sharded cache.
-type Shard = Mutex<HashMap<PrefixGrid, Slot>>;
-
-/// Number of lock stripes. A power of two comfortably above any worker
-/// count we dispatch (the pool clamps at 256 threads but batch chunks
-/// rarely exceed 16): with uniformly hashed keys, the probability that
-/// two concurrent publishes collide on a stripe stays low, and a stripe
-/// lock is held only for a `HashMap` probe — never across a synthesis.
-const CACHE_SHARDS: usize = 16;
-
-/// A lock-striped `PrefixGrid → Slot` map: the evaluator's cache,
-/// sharded so concurrent cache probes and publishes from different
-/// workers stop serializing on one global mutex. Claim slots (the
-/// in-flight `None` state of a [`Slot`]) live inside their shard, so
-/// the per-key claim discipline is unchanged — only the lock that
-/// guards the *map* is split.
-struct ShardedCache {
-    shards: Box<[Shard]>,
-}
-
-impl ShardedCache {
-    fn new() -> Self {
-        ShardedCache {
-            shards: (0..CACHE_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-        }
-    }
-
-    /// The stripe owning `key`. Routing uses a fixed-key hasher
-    /// (deterministic across runs), though nothing observable depends on
-    /// the routing: accounting and publish order are fixed by the
-    /// callers, and snapshots sort canonically.
-    fn shard(&self, key: &PrefixGrid) -> &Shard {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) & (CACHE_SHARDS - 1)]
-    }
-
-    /// Whether `key` is cached or claimed, with a brief stripe lock.
-    fn contains(&self, key: &PrefixGrid) -> bool {
-        self.shard(key).lock().contains_key(key)
-    }
-
-    /// Total entries (cached + claimed) across all stripes.
-    fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
-    }
+/// The evaluator's mutable state, all behind its one lock.
+struct Inner {
+    /// Every simulated design's record, keyed by legalized grid.
+    cache: HashMap<PrefixGrid, EvalRecord>,
+    /// The resident incremental session: `None` before the first miss,
+    /// and after a panicking synthesis dropped it.
+    session: Option<EvalSession>,
+    /// Optional frontier observer: every *counted* simulation offers its
+    /// (grid, PPA) to the attached archive. Observation-only — see the
+    /// archiving contract on `attach_archive`.
+    archive: Option<SharedArchive>,
 }
 
 /// A caching, counting, thread-safe evaluator.
@@ -209,49 +158,22 @@ impl ShardedCache {
 /// memoizes identical netlists. Grids are cached by their *legalized*
 /// form, so structurally equivalent queries share one simulation (the
 /// paper notes legalization "may be considered part of the objective").
+///
+/// The cache, the resident session, and the archive hook sit behind one
+/// lock that a query holds until it returns, synthesis included:
+/// concurrent queries of one evaluator run one at a time, so no design
+/// is ever simulated or counted twice. A search queries its evaluator
+/// from one thread; parallel campaigns give every job its own.
 pub struct CachedEvaluator {
     objective: Objective,
-    // Lock-striped map of slots. Each slot is shared by every thread
-    // querying that design: the first thread holds the slot's lock while
-    // it synthesizes, so concurrent queries for the same key block on
-    // the slot (not even the stripe, let alone the whole cache) and
-    // never double-count a simulation.
-    cache: ShardedCache,
+    inner: Mutex<Inner>,
     counter: SimCounter,
-    // Incremental evaluation sessions, one resident per pool worker
-    // (created on demand): delta-evaluation state warms up per worker
-    // instead of bouncing through a shared lock, and a sequential
-    // searcher keeps hitting the same resident spill session. Sessions
-    // are bit-for-bit equal to `Objective::evaluate`, which is what
-    // keeps the cache coherent.
-    sessions: WorkerSlots<EvalSession>,
     incremental: bool,
-    // Optional frontier observer: every *counted* simulation offers its
-    // (grid, PPA) to the attached archive. Observation-only — see the
-    // archiving contract on `attach_archive`.
-    archive: Mutex<Option<SharedArchive>>,
-}
-
-/// Drop guard that un-claims a cache key if its owner unwinds before
-/// publishing a result, so a panicking synthesis (e.g. a width-mismatch
-/// assert) doesn't wedge the key for every later query.
-struct Unclaim<'a> {
-    shard: &'a Shard,
-    key: &'a PrefixGrid,
-    armed: bool,
-}
-
-impl Drop for Unclaim<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            self.shard.lock().remove(self.key);
-        }
-    }
 }
 
 impl CachedEvaluator {
-    /// Wraps an objective; cache misses run through pooled incremental
-    /// [`EvalSession`]s.
+    /// Wraps an objective; cache misses run through the evaluator's one
+    /// resident incremental [`EvalSession`].
     pub fn new(objective: Objective) -> Self {
         Self::with_incremental(objective, true)
     }
@@ -267,14 +189,13 @@ impl CachedEvaluator {
     fn with_incremental(objective: Objective, incremental: bool) -> Self {
         CachedEvaluator {
             objective,
-            cache: ShardedCache::new(),
+            inner: Mutex::new(Inner {
+                cache: HashMap::new(),
+                session: None,
+                archive: None,
+            }),
             counter: SimCounter::new(),
-            // Enough dedicated slots for the global pool; custom pools
-            // (benches, tests) stay resident up to 16 workers and spill
-            // beyond. Capacity only affects perf, never results.
-            sessions: WorkerSlots::new(WorkerPool::global().threads().max(16)),
             incremental,
-            archive: Mutex::new(None),
         }
     }
 
@@ -288,45 +209,22 @@ impl CachedEvaluator {
     /// results, cache contents, and simulation accounting are bit-for-bit
     /// identical with or without an archive attached.
     pub fn attach_archive(&self, archive: SharedArchive) -> Option<SharedArchive> {
-        self.archive.lock().replace(archive)
+        self.inner.lock().archive.replace(archive)
     }
 
     /// Detaches and returns the current archive, if any.
     pub fn detach_archive(&self) -> Option<SharedArchive> {
-        self.archive.lock().take()
+        self.inner.lock().archive.take()
     }
 
     /// A handle to the attached archive, if any.
     pub fn archive(&self) -> Option<SharedArchive> {
-        self.archive.lock().clone()
+        self.inner.lock().archive.clone()
     }
 
     /// Whether cache misses use the incremental session path.
     pub fn is_incremental(&self) -> bool {
         self.incremental
-    }
-
-    /// Runs one physical simulation of `key` (already legalized) on the
-    /// current thread's resident session: a pool worker uses its own
-    /// slot, a sequential caller the spill stack (preferring a spilled
-    /// session whose resident state matches `prev`).
-    fn simulate(&self, key: &PrefixGrid, prev: Option<&PrefixGrid>) -> EvalRecord {
-        if !self.incremental {
-            return self.objective.evaluate(key);
-        }
-        let mut session = self
-            .sessions
-            .checkout_where(|s| prev.is_some() && s.last_grid() == prev)
-            .unwrap_or_else(|| EvalSession::from_objective(&self.objective));
-        // If evaluation panics the checked-out session is simply dropped
-        // (a fresh one is created on demand later), so no slot ever holds
-        // a session in a half-mutated state.
-        let rec = match prev {
-            Some(p) => session.evaluate_delta(p, key),
-            None => session.evaluate(key),
-        };
-        self.sessions.checkin(session);
-        rec
     }
 
     /// The shared simulation counter.
@@ -341,7 +239,7 @@ impl CachedEvaluator {
 
     /// Number of distinct designs simulated so far.
     pub fn unique_designs(&self) -> usize {
-        self.cache.len()
+        self.inner.lock().cache.len()
     }
 
     /// Evaluates one grid, consulting the cache.
@@ -350,9 +248,8 @@ impl CachedEvaluator {
     }
 
     /// Evaluates `next`, hinting that it was derived from `prev` (e.g. an
-    /// SA/GA mutation): on a cache miss the incremental path prefers the
-    /// pooled session already holding `prev`'s netlist and timing state,
-    /// so only the changed cone is re-synthesized. Results and simulation
+    /// SA/GA mutation): a cache miss passes the hint to the resident
+    /// session's [`EvalSession::evaluate_delta`]. Results and simulation
     /// accounting are identical to [`CachedEvaluator::evaluate`].
     pub fn evaluate_from(&self, prev: &PrefixGrid, next: &PrefixGrid) -> EvalRecord {
         self.evaluate_inner(next, Some(prev))
@@ -367,54 +264,43 @@ impl CachedEvaluator {
     }
 
     /// [`CachedEvaluator::evaluate_inner`] for an already-legalized key.
-    /// Cache hits never clone the grid; the claim path clones it once,
-    /// to own the map entry.
     fn evaluate_key(&self, key: &PrefixGrid, prev: Option<&PrefixGrid>) -> EvalRecord {
-        let shard = self.cache.shard(key);
-        loop {
-            // Claim or find the slot for this key. If we create it, lock
-            // it *before* releasing the stripe lock so racers on the same
-            // key block until our result is in.
-            let mut map = shard.lock();
-            if let Some(slot) = map.get(key).cloned() {
-                drop(map);
-                if let Some(rec) = *slot.lock() {
-                    return rec;
-                }
-                // The owner unwound before publishing (its entry has been
-                // un-claimed); retry and take ownership ourselves.
-                continue;
-            }
-            let slot = Arc::new(Mutex::new(None));
-            map.insert(key.clone(), Arc::clone(&slot));
-            let mut guard = slot.lock();
-            drop(map);
-            let mut unclaim = Unclaim {
-                shard,
-                key,
-                armed: true,
-            };
-            let rec = self.simulate(key, prev);
-            unclaim.armed = false;
-            // The post-add count is taken atomically with the add so
-            // parallel batch evaluations stamp distinct, gap-free
-            // simulation counts into the archive.
-            let sims = self.counter.add_and_count(1);
-            if let Some(archive) = self.archive.lock().clone() {
-                archive.lock().insert(key.clone(), rec.ppa, sims);
-            }
-            *guard = Some(rec);
+        let mut inner = self.inner.lock();
+        if let Some(&rec) = inner.cache.get(key) {
             return rec;
         }
+        let rec = if self.incremental {
+            // Moved out for the synthesis, so a panic drops the session
+            // instead of leaving it half-updated; the key then stays
+            // uncached and uncounted.
+            let mut session = inner
+                .session
+                .take()
+                .unwrap_or_else(|| EvalSession::from_objective(&self.objective));
+            let rec = match prev {
+                Some(p) => session.evaluate_delta(p, key),
+                None => session.evaluate(key),
+            };
+            inner.session = Some(session);
+            rec
+        } else {
+            self.objective.evaluate(key)
+        };
+        self.counter.add(1);
+        if let Some(archive) = &inner.archive {
+            archive
+                .lock()
+                .insert(key.clone(), rec.ppa, self.counter.count());
+        }
+        inner.cache.insert(key.clone(), rec);
+        rec
     }
 
     /// Captures the evaluator's replayable state — every cached
     /// `(grid, record)` pair plus the simulation count — for
     /// checkpointing. Entries are sorted canonically (by encoded grid
     /// bytes) so the snapshot is deterministic regardless of hash-map
-    /// iteration order. In-flight slots (a concurrent evaluation that
-    /// has claimed its key but not yet published) are skipped; drivers
-    /// snapshot between steps, where none exist.
+    /// iteration order.
     ///
     /// Restoring the snapshot into a *fresh* evaluator of the same
     /// objective ([`CachedEvaluator::restore_state`]) makes it
@@ -422,24 +308,15 @@ impl CachedEvaluator {
     /// the cache, so budget accounting resumes without double-counting —
     /// the property Contract 8's kill-and-resume equality rests on.
     pub fn state(&self) -> EvaluatorState {
-        let mut entries: Vec<(PrefixGrid, EvalRecord)> = self
+        let mut keyed: Vec<(Vec<u8>, (PrefixGrid, EvalRecord))> = self
+            .inner
+            .lock()
             .cache
-            .shards
             .iter()
-            .flat_map(|shard| {
-                shard
-                    .lock()
-                    .iter()
-                    .filter_map(|(k, slot)| slot.lock().map(|rec| (k.clone(), rec)))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        let mut keyed: Vec<(Vec<u8>, (PrefixGrid, EvalRecord))> = entries
-            .drain(..)
-            .map(|e| {
+            .map(|(g, &rec)| {
                 let mut enc = crate::ckpt::Enc::new();
-                enc.grid(&e.0);
-                (enc.finish(), e)
+                enc.grid(g);
+                (enc.finish(), (g.clone(), rec))
             })
             .collect();
         keyed.sort_by(|a, b| a.0.cmp(&b.0));
@@ -454,132 +331,8 @@ impl CachedEvaluator {
     /// for a freshly built evaluator of the same objective; any existing
     /// cache entries are dropped.
     pub fn restore_state(&self, state: &EvaluatorState) {
-        for shard in self.cache.shards.iter() {
-            shard.lock().clear();
-        }
-        for (g, rec) in &state.entries {
-            self.cache
-                .shard(g)
-                .lock()
-                .insert(g.clone(), Arc::new(Mutex::new(Some(*rec))));
-        }
+        self.inner.lock().cache = state.entries.iter().cloned().collect();
         self.counter.set(state.sims);
-    }
-
-    /// Publishes a result simulated outside the cache claim discipline
-    /// (the parallel batch path): claims the key and stamps the counter
-    /// exactly like a sequential cache miss. Returns the `(ppa, sims)`
-    /// archive offer when this call published (the caller replays offers
-    /// in first-occurrence order under one archive lock), and `None`
-    /// when a racing evaluation got there first — its owner already
-    /// counted and offered it.
-    fn publish_slot(&self, key: &PrefixGrid, rec: EvalRecord) -> Option<(PpaReport, usize)> {
-        let shard = self.cache.shard(key);
-        loop {
-            let mut map = shard.lock();
-            if let Some(slot) = map.get(key).cloned() {
-                drop(map);
-                if slot.lock().is_some() {
-                    return None;
-                }
-                // The claiming owner unwound; retry and claim ourselves.
-                continue;
-            }
-            let slot = Arc::new(Mutex::new(None));
-            map.insert(key.clone(), Arc::clone(&slot));
-            let mut guard = slot.lock();
-            drop(map);
-            let sims = self.counter.add_and_count(1);
-            *guard = Some(rec);
-            return Some((rec.ppa, sims));
-        }
-    }
-
-    /// Evaluates a batch across the shared worker pool. See
-    /// [`CachedEvaluator::evaluate_batch_on`].
-    pub fn evaluate_batch(&self, grids: &[PrefixGrid], threads: usize) -> Vec<EvalRecord> {
-        self.evaluate_batch_on(WorkerPool::global(), grids, threads)
-    }
-
-    /// Evaluates a batch across `pool` (at most `threads` result
-    /// chunks). Results align with the input order.
-    ///
-    /// **Deterministically equal to the sequential path**: unique
-    /// uncached designs are simulated in parallel into per-chunk result
-    /// slots (lock-free disjoint writes, one resident session per
-    /// worker), then *published* — counted and inserted into the cache
-    /// sequentially in first-occurrence order, with the archive offers
-    /// replayed in that same order under a single archive lock. Batch
-    /// output order, the final simulation count, and every archive
-    /// observation stamp are therefore bit-identical to
-    /// `grids.iter().map(|g| evaluate(g))`, at every thread count and
-    /// pool size.
-    pub fn evaluate_batch_on(
-        &self,
-        pool: &WorkerPool,
-        grids: &[PrefixGrid],
-        threads: usize,
-    ) -> Vec<EvalRecord> {
-        if grids.is_empty() {
-            return Vec::new();
-        }
-        let threads = threads.clamp(1, grids.len());
-        // Legalize lazily: already-legal grids are borrowed, not cloned.
-        let keys: Vec<Cow<'_, PrefixGrid>> = grids
-            .iter()
-            .map(|g| {
-                if g.is_legal() {
-                    Cow::Borrowed(g)
-                } else {
-                    Cow::Owned(g.legalized())
-                }
-            })
-            .collect();
-        // Unique keys in first-occurrence order (the order the
-        // sequential path would count them in), deduplicated by
-        // reference — no clones, no cache lock. Only the pending misses
-        // are then cloned, outside any stripe lock (`contains` takes its
-        // stripe lock per probe, for just the probe).
-        let mut seen: HashSet<&PrefixGrid> = HashSet::with_capacity(keys.len());
-        let pending: Vec<PrefixGrid> = keys
-            .iter()
-            .map(Cow::as_ref)
-            .filter(|k| seen.insert(*k) && !self.cache.contains(k))
-            .cloned()
-            .collect();
-        let mut results: Vec<Option<EvalRecord>> = vec![None; pending.len()];
-        if threads > 1 && pending.len() > 1 {
-            let chunk = pending.len().div_ceil(threads);
-            pool.scatter(&mut results, chunk, |c, out| {
-                for (slot, key) in out.iter_mut().zip(&pending[c * chunk..]) {
-                    *slot = Some(self.simulate(key, None));
-                }
-            });
-        } else {
-            for (slot, key) in results.iter_mut().zip(&pending) {
-                *slot = Some(self.simulate(key, None));
-            }
-        }
-        // Publish phase, sequential in first-occurrence order. Archive
-        // offers are accumulated and replayed in that same order under
-        // one archive lock, so the publish loop itself never serializes
-        // on the archive (Contract 7 holds: same offers, same order,
-        // same stamps as the sequential path).
-        let archive = self.archive.lock().clone();
-        let mut offers: Vec<(PrefixGrid, PpaReport, usize)> = Vec::new();
-        for (key, rec) in pending.iter().zip(results) {
-            if let Some((ppa, sims)) = self.publish_slot(key, rec.expect("chunk simulated")) {
-                if archive.is_some() {
-                    offers.push((key.clone(), ppa, sims));
-                }
-            }
-        }
-        if let Some(archive) = archive {
-            archive.lock().insert_all(offers);
-        }
-        // Every key is now cached (or claimed by a racing evaluation):
-        // plain lookups, no further counting.
-        keys.iter().map(|k| self.evaluate_key(k, None)).collect()
     }
 }
 
@@ -619,17 +372,29 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_serial_and_counts_unique() {
+    fn concurrent_queries_of_one_design_simulate_once() {
+        // The lock spans the whole miss, so racing queries of an
+        // uncached design share one simulation and one count.
         let ev = evaluator(12, 0.5);
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut grids: Vec<PrefixGrid> = (0..10)
-            .map(|_| mutate::random_grid(12, 0.25, &mut rng))
-            .collect();
-        grids.push(grids[0].clone()); // duplicate
-        let parallel = ev.evaluate_batch(&grids, 4);
-        let serial: Vec<EvalRecord> = grids.iter().map(|g| ev.evaluate(g)).collect();
-        assert_eq!(parallel, serial);
-        assert!(ev.counter().count() <= 10, "duplicate must not re-simulate");
+        let grid = topologies::kogge_stone(12);
+        let start = std::sync::Barrier::new(4);
+        let records: Vec<EvalRecord> = std::thread::scope(|s| {
+            let queries: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        ev.evaluate(&grid)
+                    })
+                })
+                .collect();
+            queries
+                .into_iter()
+                .map(|q| q.join().expect("query thread panicked"))
+                .collect()
+        });
+        assert!(records.iter().all(|r| *r == records[0]));
+        assert_eq!(ev.counter().count(), 1);
+        assert_eq!(ev.unique_designs(), 1);
     }
 
     #[test]
@@ -679,76 +444,6 @@ mod tests {
         assert_eq!(ev.counter().count(), 1, "second query is a cache hit");
         let _ = ev.evaluate(&base);
         assert_eq!(ev.counter().count(), 2, "base still counts when queried");
-    }
-
-    #[test]
-    fn empty_batch_is_fine() {
-        let ev = evaluator(8, 0.5);
-        assert!(ev.evaluate_batch(&[], 4).is_empty());
-        assert!(ev.evaluate_batch(&[], 0).is_empty());
-    }
-
-    #[test]
-    fn batch_degenerate_thread_counts_do_not_panic_and_stay_order_stable() {
-        // Regression: `threads: 0` must fall back to serial and
-        // `threads > grids.len()` must clamp — neither may panic, and
-        // both must return results aligned with the input order,
-        // identical to the serial path.
-        let mut rng = StdRng::seed_from_u64(11);
-        let grids: Vec<PrefixGrid> = (0..5)
-            .map(|_| mutate::random_grid(10, 0.3, &mut rng))
-            .collect();
-        let serial_ev = evaluator(10, 0.5);
-        let serial: Vec<EvalRecord> = grids.iter().map(|g| serial_ev.evaluate(g)).collect();
-        for threads in [0, 1, grids.len() + 1, 64] {
-            let ev = evaluator(10, 0.5);
-            let batch = ev.evaluate_batch(&grids, threads);
-            assert_eq!(batch, serial, "threads={threads} must match serial order");
-            assert_eq!(ev.counter().count(), serial_ev.counter().count());
-        }
-    }
-
-    #[test]
-    fn batch_order_and_stamps_match_the_sequential_path() {
-        // Regression for the batch determinism contract: the parallel
-        // batch path must reproduce the sequential path exactly —
-        // result order, the final simulation count, and every archive
-        // observation stamp (simulation indices per design) — at every
-        // thread count. Duplicates inside the batch must be counted
-        // once, at their first occurrence.
-        use crate::pareto::ParetoArchive;
-        let mut rng = StdRng::seed_from_u64(21);
-        let mut grids: Vec<PrefixGrid> = (0..9)
-            .map(|_| mutate::random_grid(10, 0.3, &mut rng))
-            .collect();
-        grids.push(grids[2].clone());
-        grids.push(grids[0].clone());
-        let seq = evaluator(10, 0.5);
-        let seq_arch = ParetoArchive::new().with_log().into_shared();
-        seq.attach_archive(seq_arch.clone());
-        let seq_records: Vec<EvalRecord> = grids.iter().map(|g| seq.evaluate(g)).collect();
-        for threads in [1, 2, 3, grids.len(), 64] {
-            let ev = evaluator(10, 0.5);
-            let arch = ParetoArchive::new().with_log().into_shared();
-            ev.attach_archive(arch.clone());
-            let batch = ev.evaluate_batch(&grids, threads);
-            assert_eq!(batch, seq_records, "threads={threads}: batch output order");
-            assert_eq!(
-                ev.counter().count(),
-                seq.counter().count(),
-                "threads={threads}: simulation count"
-            );
-            assert_eq!(
-                arch.lock().observations(),
-                seq_arch.lock().observations(),
-                "threads={threads}: observation stamps"
-            );
-            assert_eq!(
-                arch.lock().to_ckpt_bytes(),
-                seq_arch.lock().to_ckpt_bytes(),
-                "threads={threads}: archive bytes"
-            );
-        }
     }
 
     #[test]
@@ -846,10 +541,13 @@ mod tests {
     fn panicking_evaluation_does_not_wedge_the_key() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
         let ev = evaluator(8, 0.5);
+        let reference = evaluator(8, 0.5);
+        let warm = topologies::sklansky(8);
+        assert_eq!(ev.evaluate(&warm), reference.evaluate(&warm));
         let wrong_width = topologies::sklansky(12);
-        // Width mismatch panics inside the flow; the cache key must be
-        // un-claimed so later queries see the original panic, and the
-        // evaluator must stay usable for other designs.
+        // Width mismatch panics inside the flow, dropping the resident
+        // session; the key must stay uncached so later queries see the
+        // original panic, and the evaluator must stay usable.
         for _ in 0..2 {
             let r = catch_unwind(AssertUnwindSafe(|| ev.evaluate(&wrong_width)));
             let msg = *r
@@ -858,9 +556,9 @@ mod tests {
                 .unwrap();
             assert!(msg.contains("width mismatch"), "unexpected panic: {msg}");
         }
-        assert_eq!(ev.counter().count(), 0, "failed evaluations must not count");
-        let ok = ev.evaluate(&topologies::sklansky(8));
-        assert!(ok.cost.is_finite());
-        assert_eq!(ev.counter().count(), 1);
+        assert_eq!(ev.counter().count(), 1, "failed evaluations must not count");
+        let next = topologies::brent_kung(8);
+        assert_eq!(ev.evaluate(&next), reference.evaluate(&next));
+        assert_eq!(ev.counter().count(), 2);
     }
 }

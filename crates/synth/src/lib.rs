@@ -5,9 +5,9 @@
 //! with buffers, greedily sizes gates along the critical path, runs
 //! timing (`cv-sta`), and reports post-synthesis PPA. On top of that it
 //! defines the paper's scalar cost
-//! `f(x) = ω·10·delay_ns + (1−ω)·area_um2/100` and provides cached and
-//! parallel evaluators with simulation-count accounting (the "budget" all
-//! the search algorithms are compared on).
+//! `f(x) = ω·10·delay_ns + (1−ω)·area_um2/100` and provides a cached
+//! evaluator with simulation-count accounting (the "budget" all the
+//! search algorithms are compared on).
 //!
 //! ```
 //! use cv_synth::{SynthesisFlow, CostParams, Objective};

@@ -315,25 +315,6 @@ impl ParetoArchive {
         true
     }
 
-    /// Replays a sequence of offers through [`ParetoArchive::insert`] in
-    /// iteration order, returning how many joined the front. The batch
-    /// evaluator uses this to stamp a whole publish phase under a single
-    /// archive lock instead of re-locking per design — byte-identical to
-    /// the per-design inserts it replaces, because insertion *order* is
-    /// all the log and the front depend on.
-    pub fn insert_all<I>(&mut self, offers: I) -> usize
-    where
-        I: IntoIterator<Item = (PrefixGrid, PpaReport, usize)>,
-    {
-        let mut accepted = 0;
-        for (grid, ppa, sims) in offers {
-            if self.insert(grid, ppa, sims) {
-                accepted += 1;
-            }
-        }
-        accepted
-    }
-
     /// Removes the interior point with the smallest crowding distance.
     fn prune_most_crowded(&mut self) {
         debug_assert!(self.front.len() > 2);

@@ -1,10 +1,8 @@
-//! Equivalence properties of the sharded-cache parallel batch path
-//! (DESIGN.md §8): `evaluate_batch` must be observationally identical to
-//! the sequential loop — output order, simulation counts, and archive
-//! observation stamps byte-for-byte — at every thread count, for
-//! duplicate-heavy and all-cache-hit batches alike. Plus a regression
-//! test that per-worker resident sessions survive a panicking
-//! evaluation.
+//! Batch-shaped properties of the shared `CachedEvaluator` (DESIGN.md
+//! §8): a batch of designs evaluated through one evaluator — in order,
+//! or spread over a `WorkerPool` whose tasks all query the same
+//! instance — must return the cached results of warm designs at zero
+//! simulation cost, and must survive a design whose synthesis panics.
 
 use cv_cells::nangate45_like;
 use cv_pool::WorkerPool;
@@ -28,8 +26,7 @@ fn arb_grid() -> impl Strategy<Value = PrefixGrid> {
 }
 
 /// A batch of up to 6 distinct designs with up to 6 duplicates spliced
-/// in at arbitrary positions — the duplicate-heavy shape that stresses
-/// first-occurrence accounting.
+/// in at arbitrary positions.
 fn arb_batch() -> impl Strategy<Value = Vec<PrefixGrid>> {
     (
         prop::collection::vec(arb_grid(), 1..6),
@@ -44,52 +41,42 @@ fn arb_batch() -> impl Strategy<Value = Vec<PrefixGrid>> {
         })
 }
 
-/// Thread counts exercised per case: serial, small, odd, and far beyond
-/// both the batch size and any real pool.
+/// Pool sizes exercised per case: inline, small, odd, and far beyond
+/// the batch size.
 const THREADS: [usize; 4] = [1, 2, 5, 64];
+
+/// Evaluates `batch` on `pool`, one design per task, every task querying
+/// the same evaluator; results come back in batch order.
+fn evaluate_on(pool: &WorkerPool, ev: &CachedEvaluator, batch: &[PrefixGrid]) -> Vec<EvalRecord> {
+    let mut out: Vec<Option<EvalRecord>> = vec![None; batch.len()];
+    pool.scatter(&mut out, 1, |i, slot| {
+        slot[0] = Some(ev.evaluate(&batch[i]))
+    });
+    out.into_iter()
+        .map(|r| r.expect("every task wrote its slot"))
+        .collect()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     #[test]
-    fn batch_is_byte_identical_to_sequential(batch in arb_batch()) {
-        let seq_ev = evaluator();
-        let seq_arch = ParetoArchive::new().with_log().into_shared();
-        seq_ev.attach_archive(seq_arch.clone());
-        let seq: Vec<EvalRecord> = batch.iter().map(|g| seq_ev.evaluate(g)).collect();
-        let seq_obs = seq_arch.lock().observations().to_vec();
-        let seq_bytes = seq_arch.lock().to_ckpt_bytes();
-        for threads in THREADS {
-            let ev = evaluator();
-            let arch = ParetoArchive::new().with_log().into_shared();
-            ev.attach_archive(arch.clone());
-            let out = ev.evaluate_batch(&batch, threads);
-            prop_assert_eq!(&out, &seq, "threads={}: output order", threads);
-            prop_assert_eq!(
-                ev.counter().count(),
-                seq_ev.counter().count(),
-                "threads={}: simulation count",
-                threads
-            );
-            let obs = arch.lock().observations().to_vec();
-            prop_assert_eq!(obs, seq_obs.clone(), "threads={}: observation stamps", threads);
-            let bytes = arch.lock().to_ckpt_bytes();
-            prop_assert_eq!(bytes, seq_bytes.clone(), "threads={}: archive bytes", threads);
-        }
-    }
-
-    #[test]
     fn all_cache_hit_batches_stay_silent(batch in arb_batch()) {
-        // Once every design is cached, a batch at any thread count must
-        // cost zero simulations and leave the archive untouched.
+        // Once every design is cached, a batch — in order or spread over
+        // a pool of any size — must cost zero simulations and leave the
+        // archive untouched.
         let ev = evaluator();
         let arch = ParetoArchive::new().with_log().into_shared();
         ev.attach_archive(arch.clone());
         let warm: Vec<EvalRecord> = batch.iter().map(|g| ev.evaluate(g)).collect();
         let sims = ev.counter().count();
         let bytes = arch.lock().to_ckpt_bytes();
+        let again: Vec<EvalRecord> = batch.iter().map(|g| ev.evaluate(g)).collect();
+        prop_assert_eq!(&again, &warm, "in order: cached results");
+        prop_assert_eq!(ev.counter().count(), sims, "in order: no new sims");
         for threads in THREADS {
-            let out = ev.evaluate_batch(&batch, threads);
+            let pool = WorkerPool::new(threads);
+            let out = evaluate_on(&pool, &ev, &batch);
             prop_assert_eq!(&out, &warm, "threads={}: cached results", threads);
             prop_assert_eq!(ev.counter().count(), sims, "threads={}: no new sims", threads);
             let after = arch.lock().to_ckpt_bytes();
@@ -98,10 +85,11 @@ proptest! {
     }
 }
 
-/// Per-worker resident sessions must survive a panicking evaluation:
-/// the panic unwinds out of the batch (re-thrown by the pool), the
-/// poisoned design's key is un-claimed, nothing is counted for it, and
-/// the same evaluator/pool pair keeps producing correct results.
+/// A panicking evaluation inside a pooled batch must not wedge the
+/// shared evaluator: the panic unwinds out of the batch (re-thrown by
+/// the pool), the poisoned design's key stays uncached, nothing is
+/// counted for it, and the same evaluator/pool pair keeps producing
+/// correct results.
 #[test]
 fn batch_survives_a_panicking_evaluation() {
     use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -117,15 +105,13 @@ fn batch_survives_a_panicking_evaluation() {
     let mut poisoned = good.clone();
     poisoned.insert(2, topologies::sklansky(W + 4));
     for _ in 0..2 {
-        let r = catch_unwind(AssertUnwindSafe(|| {
-            ev.evaluate_batch_on(&pool, &poisoned, 4)
-        }));
+        let r = catch_unwind(AssertUnwindSafe(|| evaluate_on(&pool, &ev, &poisoned)));
         assert!(r.is_err(), "width mismatch must propagate out of the batch");
     }
     // Reference results from an untouched evaluator.
     let reference = evaluator();
     let expected: Vec<EvalRecord> = good.iter().map(|g| reference.evaluate(g)).collect();
-    let after = ev.evaluate_batch_on(&pool, &good, 4);
+    let after = evaluate_on(&pool, &ev, &good);
     assert_eq!(after, expected, "evaluator unusable after a batch panic");
     assert_eq!(
         ev.counter().count(),

@@ -6,7 +6,7 @@ use cv_cells::nangate45_like;
 use cv_prefix::{mutate, topologies, CircuitKind, PrefixGrid};
 use cv_synth::{CachedEvaluator, CostParams, Objective, SynthesisFlow};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 fn evaluator(width: usize, kind: CircuitKind, w: f64) -> CachedEvaluator {
     let flow = SynthesisFlow::new(nangate45_like(), kind, width);
@@ -68,18 +68,6 @@ fn gray_to_binary_objective_differs_from_adder() {
     let g2b = evaluator(20, CircuitKind::GrayToBinary, 0.6).evaluate(&g);
     assert!(g2b.ppa.gate_count < adder.ppa.gate_count);
     assert!(g2b.cost < adder.cost);
-}
-
-#[test]
-fn parallel_batch_evaluation_matches_serial() {
-    let ev = evaluator(14, CircuitKind::Adder, 0.66);
-    let mut rng = StdRng::seed_from_u64(4);
-    let grids: Vec<PrefixGrid> = (0..12)
-        .map(|_| mutate::random_grid(14, rng.gen_range(0.05..0.5), &mut rng))
-        .collect();
-    let par = ev.evaluate_batch(&grids, 4);
-    let ser: Vec<_> = grids.iter().map(|g| ev.evaluate(g)).collect();
-    assert_eq!(par, ser);
 }
 
 #[test]
