@@ -281,7 +281,12 @@ fn connect(deadline: Instant) -> TcpStream {
         let port = resolve_port(deadline);
         attempts += 1;
         match TcpStream::connect(("127.0.0.1", port)) {
-            Ok(stream) => return stream,
+            Ok(stream) => {
+                // One small frame per request: send it without waiting
+                // for the daemon's delayed ACK.
+                let _ = stream.set_nodelay(true);
+                return stream;
+            }
             Err(e) => {
                 if Instant::now() >= deadline {
                     eprintln!(
@@ -302,14 +307,12 @@ fn connect_deadline() -> Instant {
 }
 
 fn roundtrip(stream: &mut TcpStream, req: &Request) -> (String, Json) {
-    let line = req.render();
-    stream
-        .write_all(line.as_bytes())
-        .and_then(|()| stream.write_all(b"\n"))
-        .unwrap_or_else(|e| {
-            eprintln!("error: send failed: {e}");
-            std::process::exit(1);
-        });
+    let mut line = req.render();
+    line.push('\n');
+    stream.write_all(line.as_bytes()).unwrap_or_else(|e| {
+        eprintln!("error: send failed: {e}");
+        std::process::exit(1);
+    });
     let mut reply = String::new();
     BufReader::new(stream.try_clone().expect("clone stream"))
         .read_line(&mut reply)

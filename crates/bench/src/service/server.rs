@@ -132,12 +132,15 @@ pub fn serve_with(
 
     let stop = Arc::new(AtomicBool::new(false));
     let (cmd_tx, cmd_rx) = mpsc::sync_channel::<Command>(opts.queue_depth.max(1));
+    // Signalled by the connection that carried the acknowledged
+    // `shutdown` once its reply is written (or the write gave up).
+    let (acked_tx, acked_rx) = mpsc::channel::<()>();
     let accept = {
         let stop = Arc::clone(&stop);
         let opts = opts.clone();
         std::thread::Builder::new()
             .name("campaignd-accept".to_string())
-            .spawn(move || accept_loop(listener, cmd_tx, stop, opts))
+            .spawn(move || accept_loop(listener, cmd_tx, stop, opts, acked_tx))
             .map_err(|e| {
                 io::Error::new(
                     e.kind(),
@@ -147,6 +150,12 @@ pub fn serve_with(
     };
 
     let result = scheduler_loop(&mut daemon, &cmd_rx);
+    if result.is_ok() {
+        // The acknowledgement is only queued to its connection thread;
+        // returning now could let the process exit before it is sent.
+        // The write is bounded by the write timeout.
+        let _ = acked_rx.recv_timeout(opts.write_timeout * 2);
+    }
     // Unblock the accept thread (it is parked in `accept`) and reap it.
     stop.store(true, Ordering::SeqCst);
     let _ = TcpStream::connect(local);
@@ -159,12 +168,16 @@ fn accept_loop(
     cmd_tx: SyncSender<Command>,
     stop: Arc<AtomicBool>,
     opts: ServeOptions,
+    acked_tx: Sender<()>,
 ) {
     for stream in listener.incoming() {
         if stop.load(Ordering::SeqCst) {
             break;
         }
         let Ok(stream) = stream else { continue };
+        // Replies are single small frames: send each at once instead of
+        // holding it for the peer's delayed ACK.
+        let _ = stream.set_nodelay(true);
         if active_connections() >= opts.max_connections {
             // Shed the connection without a handler thread: tell the
             // client why (bounded by the write timeout so a slow client
@@ -173,20 +186,19 @@ fn accept_loop(
             let _ = stream.set_write_timeout(Some(opts.write_timeout));
             let reply = Response::Overloaded {
                 message: format!("connection limit ({}) reached", opts.max_connections),
-            }
-            .render();
-            let _ = stream.write_all(reply.as_bytes());
-            let _ = stream.write_all(b"\n");
+            };
+            let _ = stream.write_all(frame(reply.render()).as_bytes());
             continue;
         }
         let cmd_tx = cmd_tx.clone();
+        let acked_tx = acked_tx.clone();
         let opts = opts.clone();
         let guard = ConnGuard::enter();
         let spawned = std::thread::Builder::new()
             .name("campaignd-conn".to_string())
             .spawn(move || {
                 let _guard = guard;
-                connection_loop(stream, cmd_tx, &opts);
+                connection_loop(stream, cmd_tx, &opts, &acked_tx);
             });
         if let Err(e) = spawned {
             // Thread exhaustion is load shedding too: log and move on;
@@ -248,7 +260,19 @@ fn read_line_capped(reader: &mut impl BufRead, cap: usize) -> LineRead {
     }
 }
 
-fn connection_loop(stream: TcpStream, cmd_tx: SyncSender<Command>, opts: &ServeOptions) {
+/// One response line: the reply and its terminator in a single buffer,
+/// so it leaves in one write.
+fn frame(mut reply: String) -> String {
+    reply.push('\n');
+    reply
+}
+
+fn connection_loop(
+    stream: TcpStream,
+    cmd_tx: SyncSender<Command>,
+    opts: &ServeOptions,
+    acked_tx: &Sender<()>,
+) {
     let peer = stream
         .peer_addr()
         .map_or_else(|_| "<unknown>".to_string(), |a| a.to_string());
@@ -265,6 +289,7 @@ fn connection_loop(stream: TcpStream, cmd_tx: SyncSender<Command>, opts: &ServeO
     let mut writer = stream;
     let mut reader = BufReader::new(read_half);
     loop {
+        let mut shutdown_acked = false;
         let (reply, close_after) = match read_line_capped(&mut reader, opts.max_line_bytes) {
             LineRead::Closed => return,
             LineRead::TornRequest => {
@@ -296,10 +321,14 @@ fn connection_loop(stream: TcpStream, cmd_tx: SyncSender<Command>, opts: &ServeO
                 // Malformed input never reaches the daemon.
                 Err(msg) => (Response::error(msg).render(), false),
                 Ok(req) => {
+                    let is_shutdown = matches!(req, Request::Shutdown);
                     let (reply_tx, reply_rx) = mpsc::channel();
                     match cmd_tx.try_send((req, reply_tx)) {
                         Ok(()) => match reply_rx.recv() {
-                            Ok(reply) => (reply, false),
+                            Ok(reply) => {
+                                shutdown_acked = is_shutdown;
+                                (reply, false)
+                            }
                             Err(_) => return, // scheduler gone: daemon shut down
                         },
                         // Backpressure: shed the request, keep the
@@ -319,12 +348,11 @@ fn connection_loop(stream: TcpStream, cmd_tx: SyncSender<Command>, opts: &ServeO
                 }
             },
         };
-        if writer
-            .write_all(reply.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .and_then(|()| writer.flush())
-            .is_err()
-        {
+        let written = writer.write_all(frame(reply).as_bytes());
+        if shutdown_acked {
+            let _ = acked_tx.send(());
+        }
+        if written.is_err() {
             eprintln!("campaignd: closing {peer}: write failed");
             return;
         }

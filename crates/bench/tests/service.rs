@@ -531,6 +531,74 @@ fn tcp_server_end_to_end() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Each reply leaves as one frame on a no-delay socket: back-to-back
+/// requests on one connection never wait out the client's delayed ACK
+/// (about 40 ms a request when the terminator trailed in its own write).
+#[test]
+fn idle_pings_on_one_connection_are_not_delayed() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
+
+    let _net = net_serialize();
+    let dir = base_dir("ping");
+    let (port, server) = spawn_server(&dir, ServeOptions::default());
+    let stream = TcpStream::connect(("127.0.0.1", port)).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream;
+    let mut exchange = |req: &Request| {
+        writer
+            .write_all(format!("{}\n", req.render()).as_bytes())
+            .expect("send");
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("recv");
+        reply
+    };
+    let start = std::time::Instant::now();
+    for _ in 0..50 {
+        let reply = exchange(&Request::Ping);
+        assert!(reply.contains("\"ok\":true"), "ping failed: {reply}");
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_secs(1),
+        "50 idle pings took {elapsed:?}"
+    );
+    assert!(exchange(&Request::Shutdown).contains("\"ok\":true"));
+    server
+        .join()
+        .expect("server thread")
+        .expect("serve returns cleanly");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `serve_with` returns only once the `shutdown` acknowledgement has
+/// been written, so a process that exits right after serving cannot
+/// cut it off: the ack is already readable when the call returns.
+#[test]
+fn shutdown_ack_is_written_before_serve_returns() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
+
+    let _net = net_serialize();
+    let dir = base_dir("shutdown_ack");
+    let (port, server) = spawn_server(&dir, ServeOptions::default());
+    let mut stream = TcpStream::connect(("127.0.0.1", port)).expect("connect");
+    stream
+        .write_all(format!("{}\n", Request::Shutdown.render()).as_bytes())
+        .expect("send");
+    server
+        .join()
+        .expect("server thread")
+        .expect("serve returns cleanly");
+    stream.set_nonblocking(true).expect("nonblocking");
+    let mut reply = String::new();
+    BufReader::new(stream)
+        .read_line(&mut reply)
+        .expect("the ack is readable without blocking");
+    assert!(reply.contains("\"ok\":true"), "shutdown ack: {reply:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ---------------------------------------------------------------------
 // Ingress hardening: fuzz frames, torn connections, overload shedding
 // ---------------------------------------------------------------------

@@ -8,10 +8,15 @@
 //! are bit-identical either way: the arena only changes *where* buffers
 //! come from, never what is written into them.
 
-/// A LIFO free-list of `f32` buffers.
+/// A size-aware free list of `f32` buffers.
 ///
-/// Buffers keep their capacity when recycled; repeated graphs converge
-/// to zero allocation after the first pass. The list is bounded so a
+/// A request is served by the smallest held buffer that fits it, and
+/// only if that buffer is at most twice the request;
+/// otherwise a fresh buffer of the requested size is allocated and the
+/// held ones wait for requests they fit. Buffers are never grown to
+/// serve a request, so each keeps the size it was allocated for and a
+/// repeated graph converges to one buffer per live tensor size — no
+/// buffer ratchets up to the largest tensor. The list is bounded so a
 /// one-off giant graph cannot pin its peak memory forever.
 #[derive(Debug, Default)]
 pub struct ScratchArena {
@@ -23,6 +28,9 @@ pub struct ScratchArena {
 /// retention.
 const MAX_FREE: usize = 512;
 
+/// Largest capacity-to-request ratio a recycled buffer may have.
+const MAX_WASTE: usize = 2;
+
 impl ScratchArena {
     /// An empty arena.
     pub fn new() -> Self {
@@ -32,12 +40,17 @@ impl ScratchArena {
     /// A cleared buffer with capacity for at least `cap` elements
     /// (length 0). Fill it with `extend`-style writes.
     pub fn take_empty(&mut self, cap: usize) -> Vec<f32> {
-        match self.free.pop() {
-            Some(mut v) => {
+        let best = self
+            .free
+            .iter()
+            .enumerate()
+            .filter(|(_, v)| v.capacity() >= cap && v.capacity() <= cap.saturating_mul(MAX_WASTE))
+            .min_by_key(|(_, v)| v.capacity())
+            .map(|(i, _)| i);
+        match best {
+            Some(i) => {
+                let mut v = self.free.swap_remove(i);
                 v.clear();
-                if v.capacity() < cap {
-                    v.reserve(cap - v.len());
-                }
                 v
             }
             None => Vec::with_capacity(cap),
@@ -89,6 +102,26 @@ mod tests {
         let v = arena.take_zeroed(1000);
         assert_eq!(v.len(), 1000);
         assert!(v.iter().all(|&x| x == 0.0));
+    }
+
+    #[test]
+    fn alternating_sizes_keep_their_own_buffers() {
+        let (small, large) = (16usize, 1000usize);
+        let mut arena = ScratchArena::new();
+        for _ in 0..10 {
+            for len in [small, large] {
+                let v = arena.take_zeroed(len);
+                assert!(
+                    len == large || v.capacity() < large,
+                    "a {len}-element request was served from a {}-element buffer",
+                    v.capacity()
+                );
+                arena.give(v);
+                let held: usize = arena.free.iter().map(Vec::capacity).sum();
+                assert!(held <= small + large, "arena holds {held} elements");
+            }
+        }
+        assert_eq!(arena.held(), 2);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The deterministic parallel compute core: cache-blocked, thread-parallel
-//! f32 GEMM kernels plus an im2col convolution lowering.
+//! f32 GEMM kernels plus the convolution kernels.
 //!
 //! # Bit-exactness contract (DESIGN.md Contract 9)
 //!
@@ -20,16 +20,19 @@
 //!   once, never from splitting one chain.
 //! * `gemm_tn` (`Aᵀ×G`): element `(p,j)` accumulates over `i = 0..m`
 //!   ascending, same in-place chaining as NN.
-//! * conv lowering: the reference kernel forms a per-input-channel
-//!   partial in a register chain and adds per-channel partials in order;
-//!   the im2col path reproduces that grouping with one small GEMM per
-//!   input channel. Zero padding contributes explicit `w·(+0.0)` terms
+//! * convolution: the reference forms a per-input-channel partial in a
+//!   register chain and adds per-channel partials in order; the
+//!   channel-blocked 3×3 kernels and the im2col path (one small GEMM per
+//!   input channel) reproduce that grouping, and the backward kernels
+//!   replay the reference's per-element gradient order (see the 3×3
+//!   kernel docs). Zero padding contributes explicit `w·(+0.0)` terms
 //!   the reference skips — bit-safe because an IEEE-754 accumulation
 //!   chain that starts at `+0.0` can never sit at `-0.0` (a sum is
 //!   `-0.0` only when both addends are), so adding `±0.0` never changes
 //!   the stored bits. The same argument covers the removed `a == 0.0`
 //!   zero-skips of the naive matmuls (which defeated vectorization on
-//!   dense training data).
+//!   dense training data) and the zero gradients the conv backward no
+//!   longer skips.
 //!
 //! Inputs containing NaN/±inf are outside the contract (`0·inf = NaN`).
 //!
@@ -39,7 +42,8 @@
 //! runtime-dispatched family: [`mod@simd`] adds explicit `std::arch`
 //! SSE2/AVX2 microkernels for the same inner loops, selected once per
 //! process by CPU capability (overridable with `CV_SIMD=scalar|sse2|avx2`
-//! or [`set_simd_level`]). The default **strict** tier preserves every
+//! or [`set_simd_level`]), and compiles the portable 3×3 conv bodies
+//! once more for avx2. The default **strict** tier preserves every
 //! accumulation chain, so Contract 9 bit-identity holds unchanged at
 //! every SIMD level; the opt-in **relaxed** tier
 //! ([`set_relaxed_kernels`]) trades chain order for FMA throughput on
@@ -53,7 +57,7 @@ pub mod simd;
 
 pub use simd::{
     cpu_features, detected_level, gemm_nn_at, gemm_nt_at, gemm_tn_at, relaxed_kernels,
-    set_relaxed_kernels, set_simd_level, simd_level, stencil3_at, KernelMode, SimdLevel,
+    set_relaxed_kernels, set_simd_level, simd_level, KernelMode, SimdLevel,
 };
 
 /// k-dimension cache block: 256 f32 rows of B keep the streamed panel
@@ -621,8 +625,6 @@ fn im2col(x: &[f32], cols: &mut [f32], s: &ConvShape) {
                         continue;
                     }
                     let xrow = &xc[ii as usize * s.w..][..s.w];
-                    // Strided gather (stride 1 never reaches im2col: the
-                    // forward handles it on the shifted-plane path).
                     for (oj, d) in dst.iter_mut().enumerate() {
                         let jj = (oj * s.stride + kj) as isize - s.pad as isize;
                         *d = if jj < 0 || jj >= s.w as isize {
@@ -642,16 +644,11 @@ fn im2col(x: &[f32], cols: &mut [f32], s: &ConvShape) {
 /// returned to) `scratch`. Bit-identical to
 /// [`reference::conv2d_forward`] for finite inputs.
 ///
-/// Two lowerings, both preserving the reference's per-input-channel
-/// register chain (`(ki, kj)` ascending) and channel-ordered partial
-/// adds:
-///
-/// * `stride == 1`: *shifted-plane* accumulation — for each `(ki, kj)`
-///   one dense unit-stride axpy of the shifted input row into a
-///   per-channel partial plane. No im2col materialization at all, and
-///   the padded positions are skipped exactly like the reference.
-/// * `stride > 1`: im2col + one small GEMM per input channel (strided
-///   gathers pay for themselves once materialized).
+/// 3×3 kernels (every model here) run the channel-blocked direct kernel
+/// (`conv3x3_forward_body`); other kernel sizes go through im2col +
+/// one small GEMM per input channel. Both keep the reference's
+/// per-input-channel register chain (`(ki, kj)` ascending) and
+/// channel-ordered partial adds.
 pub fn conv2d_forward_into(
     out: &mut [f32],
     x: &[f32],
@@ -661,109 +658,12 @@ pub fn conv2d_forward_into(
 ) {
     let (oh, ow) = (s.oh(), s.ow());
     let (ohow, khkw) = (oh * ow, s.kh * s.kw);
-    let hw = s.h * s.w;
     debug_assert_eq!(out.len(), s.batch * s.cout * ohow);
-    if out.is_empty() {
+    if out.is_empty() || x.is_empty() {
         return;
     }
-    if s.stride == 1 {
-        // Per-output-row partial: stays L1-resident across the three
-        // kernel-row passes, with the channel-ordered add fused right
-        // after each row completes.
-        let mut part = scratch.take_zeroed(ow);
-        let fused_3tap = s.kw == 3 && s.pad == 1 && ow == s.w && ow >= 2;
-        for bi in 0..s.batch {
-            let xb = &x[bi * s.cin * hw..][..s.cin * hw];
-            let obi = &mut out[bi * s.cout * ohow..][..s.cout * ohow];
-            for co in 0..s.cout {
-                let oplane = &mut obi[co * ohow..][..ohow];
-                for ci in 0..s.cin {
-                    let xc = &xb[ci * hw..][..hw];
-                    let wsl = &wgt[(co * s.cin + ci) * khkw..][..khkw];
-                    for oi in 0..oh {
-                        // `started` tracks whether `part` holds data yet:
-                        // the first valid kernel row *overwrites* instead
-                        // of zero-fill + accumulate. A written first tap
-                        // can leave `-0.0` where the reference chain
-                        // holds `+0.0`, but the difference cannot survive
-                        // `out += part` (adding `±0.0` to a chain that is
-                        // never `-0.0` — module contract), and `part` is
-                        // observed nowhere else.
-                        let mut started = false;
-                        for ki in 0..s.kh {
-                            let ishift = ki as isize - s.pad as isize;
-                            let ii = oi as isize + ishift;
-                            if ii < 0 || ii >= s.h as isize {
-                                continue;
-                            }
-                            let xrow = &xc[ii as usize * s.w..][..s.w];
-                            if fused_3tap {
-                                // All three kj taps in one pass; per
-                                // element the chain is kj-ascending over
-                                // the in-bounds taps, exactly the
-                                // reference's register chain.
-                                let (w0, w1, w2) = (wsl[ki * 3], wsl[ki * 3 + 1], wsl[ki * 3 + 2]);
-                                // Interior columns go through the SIMD
-                                // stencil (always strict: identical
-                                // per-element chains at every tier);
-                                // the two edge columns stay inline.
-                                if started {
-                                    part[0] = (part[0] + xrow[0] * w1) + xrow[1] * w2;
-                                    simd::dispatch_stencil3(
-                                        true,
-                                        &mut part[1..ow - 1],
-                                        &xrow[..ow],
-                                        w0,
-                                        w1,
-                                        w2,
-                                    );
-                                    part[ow - 1] =
-                                        (part[ow - 1] + xrow[ow - 2] * w0) + xrow[ow - 1] * w1;
-                                } else {
-                                    part[0] = xrow[0] * w1 + xrow[1] * w2;
-                                    simd::dispatch_stencil3(
-                                        false,
-                                        &mut part[1..ow - 1],
-                                        &xrow[..ow],
-                                        w0,
-                                        w1,
-                                        w2,
-                                    );
-                                    part[ow - 1] = xrow[ow - 2] * w0 + xrow[ow - 1] * w1;
-                                    started = true;
-                                }
-                                continue;
-                            }
-                            if !started {
-                                part.fill(0.0);
-                                started = true;
-                            }
-                            for kj in 0..s.kw {
-                                let wv = wsl[ki * s.kw + kj];
-                                let jshift = kj as isize - s.pad as isize;
-                                let oj_lo = ((-jshift).max(0) as usize).min(ow);
-                                let oj_hi = ((s.w as isize - jshift).max(0) as usize).min(ow);
-                                if oj_lo >= oj_hi {
-                                    continue;
-                                }
-                                let jj0 = (oj_lo as isize + jshift) as usize;
-                                let dst = &mut part[oj_lo..oj_hi];
-                                let src = &xrow[jj0..jj0 + (oj_hi - oj_lo)];
-                                for (d, &xv) in dst.iter_mut().zip(src) {
-                                    *d += xv * wv;
-                                }
-                            }
-                        }
-                        if started {
-                            for (o, &pv) in oplane[oi * ow..(oi + 1) * ow].iter_mut().zip(&part) {
-                                *o += pv;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        scratch.give(part);
+    if s.kh == 3 && s.kw == 3 {
+        simd::dispatch_conv3x3_forward(out, x, wgt, s, scratch);
         return;
     }
     let mut cols = scratch.take_zeroed(s.cin * khkw * ohow);
@@ -774,11 +674,7 @@ pub fn conv2d_forward_into(
             wpack.extend_from_slice(&wgt[(co * s.cin + ci) * khkw..][..khkw]);
         }
     }
-    let mut part = if s.cin > 1 {
-        scratch.take_zeroed(s.cout * ohow)
-    } else {
-        Vec::new()
-    };
+    let mut part = scratch.take_zeroed(s.cout * ohow);
     for bi in 0..s.batch {
         im2col(
             &x[bi * s.cin * s.h * s.w..][..s.cin * s.h * s.w],
@@ -786,53 +682,38 @@ pub fn conv2d_forward_into(
             s,
         );
         let obi = &mut out[bi * s.cout * ohow..][..s.cout * ohow];
-        if s.cin == 1 {
+        for ci in 0..s.cin {
+            part.fill(0.0);
             nn_block_strict(
-                obi,
-                &wpack[..s.cout * khkw],
-                &cols[..khkw * ohow],
+                &mut part,
+                &wpack[ci * s.cout * khkw..][..s.cout * khkw],
+                &cols[ci * khkw * ohow..][..khkw * ohow],
                 khkw,
                 ohow,
             );
-        } else {
-            for ci in 0..s.cin {
-                part.fill(0.0);
-                nn_block_strict(
-                    &mut part,
-                    &wpack[ci * s.cout * khkw..][..s.cout * khkw],
-                    &cols[ci * khkw * ohow..][..khkw * ohow],
-                    khkw,
-                    ohow,
-                );
-                for (o, &pv) in obi.iter_mut().zip(&part) {
-                    *o += pv;
-                }
+            for (o, &pv) in obi.iter_mut().zip(&part) {
+                *o += pv;
             }
         }
     }
     scratch.give(cols);
     scratch.give(wpack);
-    if s.cin > 1 {
-        scratch.give(part);
-    }
+    scratch.give(part);
 }
 
 /// Backward convolution: writes the input gradient into a zeroed `gx`
 /// and the weight gradient into a zeroed `gw`. Bit-identical to
 /// [`reference::conv2d_backward`] for finite inputs.
 ///
-/// A fused direct kernel keeping the reference's `g == 0` skip (training
-/// gradients are ReLU-sparse, so most output positions drop out), with
-/// two overhead cuts the reference lacks:
-///
-/// * the per-multiply bounds checks are hoisted into precomputed valid
-///   kernel intervals per output position, and
-/// * the input-channel loop runs *inside* the gradient-zero test, so
-///   `g` is loaded and tested once per output position instead of once
-///   per `(ci, position)`. Legal because `ci` is part of every touched
-///   element's identity (gx plane, gw slice): for any fixed element the
-///   contribution order is still the reference's `(co, oi, oj, ki, kj)`
-///   (gx) and `(bi, oi, oj)` (gw).
+/// 3×3 kernels with pad ≤ 2 (every model here) run the channel-blocked
+/// kernels (`conv3x3_backward_body`). Other shapes take a fused direct
+/// loop that keeps the reference's `g == 0` skip, with the per-multiply
+/// bounds checks hoisted into valid kernel intervals per output
+/// position and the input-channel loop inside the gradient-zero test.
+/// Legal because `ci` is part of every touched element's identity (gx
+/// plane, gw slice): for any fixed element the contribution order is
+/// still the reference's `(co, oi, oj, ki, kj)` (gx) and `(bi, oi, oj)`
+/// (gw).
 pub fn conv2d_backward_into(
     gx: &mut [f32],
     gw: &mut [f32],
@@ -848,8 +729,11 @@ pub fn conv2d_backward_into(
     debug_assert_eq!(gx.len(), s.batch * s.cin * hw);
     debug_assert_eq!(gw.len(), s.cout * s.cin * khkw);
     debug_assert_eq!(gout.len(), s.batch * s.cout * ohow);
-    if s.kh == 3 && s.kw == 3 {
-        conv2d_backward_3x3(gx, gw, x, wgt, gout, s, scratch);
+    if gout.is_empty() || x.is_empty() {
+        return;
+    }
+    if s.kh == 3 && s.kw == 3 && s.pad <= 2 {
+        simd::dispatch_conv3x3_backward(gx, gw, x, wgt, gout, s, scratch);
         return;
     }
     for bi in 0..s.batch {
@@ -890,21 +774,9 @@ pub fn conv2d_backward_into(
                             let xrow = &xc[ii * s.w + jj0..][..span];
                             let wrow = &wsl[ki * s.kw + kj_lo..][..span];
                             let gwrow = &mut gwsl[ki * s.kw + kj_lo..][..span];
-                            if span == 3 {
-                                // Straight-line interior case for the 3×3
-                                // kernels every model here uses; same
-                                // gx-then-gw interleave as the reference.
-                                gxrow[0] += g * wrow[0];
-                                gwrow[0] += g * xrow[0];
-                                gxrow[1] += g * wrow[1];
-                                gwrow[1] += g * xrow[1];
-                                gxrow[2] += g * wrow[2];
-                                gwrow[2] += g * xrow[2];
-                            } else {
-                                for q in 0..span {
-                                    gxrow[q] += g * wrow[q];
-                                    gwrow[q] += g * xrow[q];
-                                }
+                            for q in 0..span {
+                                gxrow[q] += g * wrow[q];
+                                gwrow[q] += g * xrow[q];
                             }
                         }
                     }
@@ -914,263 +786,426 @@ pub fn conv2d_backward_into(
     }
 }
 
-/// One nonzero output-gradient position with its precomputed valid
-/// kernel intervals (see [`conv2d_backward_3x3`]).
-struct NzEntry {
-    base_i: i32,
-    base_j: i32,
-    ki_lo: u8,
-    ki_hi: u8,
-    kj_lo: u8,
-    kj_hi: u8,
-    g: f32,
+// ---------------------------------------------------------------------
+// Channel-blocked 3×3 kernels
+// ---------------------------------------------------------------------
+//
+// One portable body per pass, generic over the lane-block width `L`;
+// `simd` instantiates each plainly (`L = 4`, the scalar and sse2 tiers)
+// and once more inside an `avx2` target-feature function (`L = 8`). The
+// bodies only ever run lane-wise `+` and `·` on independent chains — no
+// intrinsics, no FMA, no reassociation — so every output element gets
+// the same IEEE operation sequence at every tier. Reads come from
+// zero-padded copies of the planes, so padding contributes explicit
+// `±0.0` terms the reference skips: bit-safe by the ±0 lemma (module
+// docs), because every chain they join starts at `+0.0` or is added to
+// one that does.
+
+/// The `L` lanes of `s` starting at `at`.
+#[inline(always)]
+fn lanes<const L: usize>(s: &[f32], at: usize) -> [f32; L] {
+    s[at..at + L].try_into().expect("lane block in bounds")
 }
 
-/// Per-output-row processing plan for [`conv2d_backward_3x3`].
-#[derive(Clone, Copy)]
-enum RowPlan {
-    /// Skip (no valid kernel rows, or all gradients zero).
-    Empty,
-    /// Replay `nz[start..end]` entry by entry.
-    Entries { start: u32, end: u32 },
-    /// `stride == 1, pad == 1` interior row, dense enough: process the
-    /// interior columns as full-width axpys/dots (explicit `±0.0` terms
-    /// for the zero gradients — bit-safe), plus inline edge columns.
-    Dense,
+/// `dst[k] = src[k·step]` for every `k` that has a source.
+#[inline(always)]
+fn gather_strided(dst: &mut [f32], src: &[f32], step: usize) {
+    if step == 1 {
+        dst[..src.len()].copy_from_slice(src);
+    } else {
+        for (d, v) in dst.iter_mut().zip(src.chunks(step)) {
+            *d = v[0];
+        }
+    }
 }
 
-/// 3×3 specialization of the backward kernel (the only kernel size the
-/// models here use). Same element-chain orders as the generic path —
-/// and therefore the reference — with these structural cuts:
+/// `dst[k·step] = src[k]` for every `k`.
+#[inline(always)]
+fn scatter_strided(dst: &mut [f32], src: &[f32], step: usize) {
+    if step == 1 {
+        dst[..src.len()].copy_from_slice(src);
+    } else {
+        for (d, &v) in dst.chunks_mut(step).zip(src) {
+            d[0] = v;
+        }
+    }
+}
+
+/// Below this many output channels the forward hoists each `(co, ci)`
+/// weight set and streams the taps; from it on, one loaded input window
+/// feeds every output channel.
+const FWD_WINDOW_MIN_COUT: usize = 2;
+
+/// One lane block of a `(co, ci)` forward partial: taps chained in
+/// `(ki, kj)` order. The first tap is written, not added to `+0.0`: the
+/// partial can then hold `-0.0` where the reference holds `+0.0`, which
+/// `out += part` (a chain that is never `-0.0`) cannot observe.
+#[inline(always)]
+fn chain9<const L: usize>(x: impl Fn(usize) -> [f32; L], w: impl Fn(usize) -> f32) -> [f32; L] {
+    let x0 = x(0);
+    let w0 = w(0);
+    let mut part = [0f32; L];
+    for l in 0..L {
+        part[l] = x0[l] * w0;
+    }
+    for t in 1..9 {
+        let (xt, wt) = (x(t), w(t));
+        for l in 0..L {
+            part[l] += xt[l] * wt;
+        }
+    }
+    part
+}
+
+/// 3×3 forward (any stride and padding).
 ///
-/// * the sparse scan of the output gradient (load, zero-test, interval
-///   math) happens once per `(bi, co)` into a compact entry list that
-///   every input channel then replays;
-/// * the nine weights are read into registers per channel, and the nine
-///   weight-gradient accumulators live in registers across the whole
-///   position scan (loaded from and stored back to `gw`, preserving the
-///   reference's `(bi, oi, oj)` chain per element);
-/// * rows whose gradient is dense enough take a vectorized path: the
-///   `kj` axpys run over the whole row interior in descending `kj`
-///   order (`oj ascending ⇔ kj descending` per gx element keeps the
-///   reference chain), with `±0.0` contributions included — bit-safe
-///   per the module contract.
-#[allow(clippy::too_many_lines)]
-fn conv2d_backward_3x3(
+/// Each input channel is copied into a zero-padded plane whose columns
+/// are split into `stride` phases, so every tap of an output row block
+/// is one contiguous `L`-lane load. An output block's nine-tap input
+/// window is loaded once and feeds every output channel (a lone output
+/// channel instead keeps its nine weights in registers and streams the
+/// taps): the `(co, ci)` partial is chained in `(ki, kj)` order — the
+/// reference's register chain — and then added to the output in `ci`
+/// order.
+#[inline(always)]
+fn conv3x3_forward_body<const L: usize>(
+    out: &mut [f32],
+    x: &[f32],
+    wgt: &[f32],
+    s: &ConvShape,
+    scratch: &mut ScratchArena,
+) {
+    let (oh, ow, st) = (s.oh(), s.ow(), s.stride);
+    let owp = ow.next_multiple_of(L);
+    // Phase-row length: covers every tap of the last lane block and
+    // every column of the padded input.
+    let wq = (owp + 2 / st).max((s.w + 2 * s.pad).div_ceil(st));
+    let rowlen = st * wq;
+    let plane = (s.h + 2 * s.pad) * rowlen;
+    let mut toff = [0usize; 9];
+    for (t, off) in toff.iter_mut().enumerate() {
+        let (ki, kj) = (t / 3, t % 3);
+        *off = ki * rowlen + (kj % st) * wq + kj / st;
+    }
+    // Borders are written once (zeros) and never touched again; each
+    // item overwrites only the interior.
+    let mut xph = scratch.take_zeroed(s.cin * plane);
+    let mut acc = scratch.take_zeroed(s.cout * oh * owp);
+    for bi in 0..s.batch {
+        for ci in 0..s.cin {
+            let src = &x[(bi * s.cin + ci) * s.h * s.w..][..s.h * s.w];
+            let dst = &mut xph[ci * plane..][..plane];
+            for (i, srow) in src.chunks_exact(s.w).enumerate() {
+                let drow = &mut dst[(i + s.pad) * rowlen..][..rowlen];
+                // Padded column `jp = j + pad` lands in phase `jp % st`,
+                // slot `jp / st`.
+                for q in 0..st {
+                    let j0 = (q + st - s.pad % st) % st;
+                    let src = srow.get(j0..).unwrap_or_default();
+                    gather_strided(&mut drow[q * wq + (j0 + s.pad) / st..], src, st);
+                }
+            }
+        }
+        acc.fill(0.0);
+        for ci in 0..s.cin {
+            let xc = &xph[ci * plane..][..plane];
+            if s.cout >= FWD_WINDOW_MIN_COUT {
+                for oi in 0..oh {
+                    let xr = &xc[oi * st * rowlen..];
+                    let taps: [&[f32]; 9] = std::array::from_fn(|t| &xr[toff[t]..][..owp]);
+                    for jb in (0..owp).step_by(L) {
+                        let win: [[f32; L]; 9] = std::array::from_fn(|t| lanes(taps[t], jb));
+                        for co in 0..s.cout {
+                            let w9 = &wgt[(co * s.cin + ci) * 9..][..9];
+                            let part = chain9(|t| win[t], |t| w9[t]);
+                            let o = &mut acc[(co * oh + oi) * owp + jb..][..L];
+                            for l in 0..L {
+                                o[l] += part[l];
+                            }
+                        }
+                    }
+                }
+                continue;
+            }
+            for co in 0..s.cout {
+                let wv: [f32; 9] = lanes(wgt, (co * s.cin + ci) * 9);
+                for oi in 0..oh {
+                    let xr = &xc[oi * st * rowlen..];
+                    let taps: [&[f32]; 9] = std::array::from_fn(|t| &xr[toff[t]..][..owp]);
+                    let orow = &mut acc[(co * oh + oi) * owp..][..owp];
+                    for jb in (0..owp).step_by(L) {
+                        let part: [f32; L] = chain9(|t| lanes(taps[t], jb), |t| wv[t]);
+                        let o = &mut orow[jb..][..L];
+                        for l in 0..L {
+                            o[l] += part[l];
+                        }
+                    }
+                }
+            }
+        }
+        let obi = &mut out[bi * s.cout * oh * ow..][..s.cout * oh * ow];
+        for (orow, arow) in obi.chunks_exact_mut(ow).zip(acc.chunks_exact(owp)) {
+            orow.copy_from_slice(&arow[..ow]);
+        }
+    }
+    scratch.give(xph);
+    scratch.give(acc);
+}
+
+/// 3×3 backward (pad ≤ 2, any stride): [`conv3x3_gx_window`] for the
+/// input gradient, then [`conv3x3_gw_lanes`] for the weight gradient.
+#[inline(always)]
+fn conv3x3_backward_body<const L: usize>(
     gx: &mut [f32],
     gw: &mut [f32],
     x: &[f32],
     wgt: &[f32],
     gout: &[f32],
     s: &ConvShape,
-    _scratch: &mut ScratchArena,
+    scratch: &mut ScratchArena,
 ) {
-    let (oh, ow) = (s.oh(), s.ow());
-    let ohow = oh * ow;
-    let hw = s.h * s.w;
-    let mut nz: Vec<NzEntry> = Vec::with_capacity(ohow);
-    let mut plans: Vec<RowPlan> = Vec::with_capacity(oh);
+    conv3x3_gx_window::<L>(gx, wgt, gout, s, scratch);
+    conv3x3_gw_lanes::<L>(gw, x, gout, s, scratch);
+}
+
+/// Input gradient, one stride phase at a time. Write `ii = st·I + r`
+/// and `jj = st·J + c`: within phase `(r, c)`, only the taps `(ki, kj)`
+/// with `st | r + pad − ki` and `st | c + pad − kj` reach `gx[ii, jj]`,
+/// from `g[co, I + dI, J + dJ]` with `dI = (r + pad − ki) / st`, `dJ`
+/// alike — a small stride-1 correlation of the output gradient (one
+/// phase of nine taps at stride 1; 1, 2, 2 and 4 taps at stride 2). The
+/// gradient planes are padded by two so every shifted block is one
+/// contiguous load, and a loaded window feeds every input channel. Per
+/// `gx` element the chain runs `co` outermost, then taps in descending
+/// `(ki, kj)` order — the reference's `(co, oi, oj)` order — with zero
+/// gradients and padding as explicit `±0.0` terms.
+#[inline(always)]
+fn conv3x3_gx_window<const L: usize>(
+    gx: &mut [f32],
+    wgt: &[f32],
+    gout: &[f32],
+    s: &ConvShape,
+    scratch: &mut ScratchArena,
+) {
+    let (oh, ow, st) = (s.oh(), s.ow(), s.stride);
+    let (hr, wrp) = (s.h.div_ceil(st), s.w.div_ceil(st).next_multiple_of(L));
+    let gcols = wrp.max(ow) + 4;
+    let gplane = (hr.max(oh) + 4) * gcols;
+    // Borders stay zero; each item rewrites only the interior.
+    let mut gp = scratch.take_zeroed(s.cout * gplane);
+    let mut acc = scratch.take_zeroed(s.cin * hr * wrp);
+    // A phase's weights in its tap order: wtab[co][ci][t].
+    let mut wtab = scratch.take_zeroed(s.cout * s.cin * 9);
+    let (h, w) = (s.h, s.w);
     for bi in 0..s.batch {
-        let xb = &x[bi * s.cin * hw..][..s.cin * hw];
-        let gxb = &mut gx[bi * s.cin * hw..][..s.cin * hw];
         for co in 0..s.cout {
-            let gsl = &gout[(bi * s.cout + co) * ohow..][..ohow];
-            nz.clear();
-            plans.clear();
-            for oi in 0..oh {
-                let base_i = (oi * s.stride) as isize - s.pad as isize;
-                let ki_lo = ((-base_i).max(0) as usize).min(3);
-                let ki_hi = ((s.h as isize - base_i).max(0) as usize).min(3);
-                if ki_lo >= ki_hi {
-                    plans.push(RowPlan::Empty);
+            let src = &gout[(bi * s.cout + co) * oh * ow..][..oh * ow];
+            let dst = &mut gp[co * gplane..][..gplane];
+            for (i, srow) in src.chunks_exact(ow).enumerate() {
+                dst[(i + 2) * gcols + 2..][..ow].copy_from_slice(srow);
+            }
+        }
+        let gxb = &mut gx[bi * s.cin * h * w..][..s.cin * h * w];
+        for r in 0..st.min(h) {
+            for c in 0..st.min(w) {
+                // The gp offset and weight index of each lattice tap.
+                let (mut offs, mut kidx) = ([0usize; 9], [0usize; 9]);
+                let mut nt = 0;
+                for ki in (0..3).rev() {
+                    for kj in (0..3).rev() {
+                        let di = (r + s.pad) as isize - ki as isize;
+                        let dj = (c + s.pad) as isize - kj as isize;
+                        let st_i = st as isize;
+                        if di.rem_euclid(st_i) == 0 && dj.rem_euclid(st_i) == 0 {
+                            let row = (di.div_euclid(st_i) + 2) as usize;
+                            let col = (dj.div_euclid(st_i) + 2) as usize;
+                            (offs[nt], kidx[nt]) = (row * gcols + col, ki * 3 + kj);
+                            nt += 1;
+                        }
+                    }
+                }
+                if nt == 0 {
                     continue;
                 }
-                let grow = &gsl[oi * ow..][..ow];
-                let interior_ok =
-                    s.stride == 1 && s.pad == 1 && ow == s.w && ow >= 3 && ki_lo == 0 && ki_hi == 3;
-                if interior_ok {
-                    let nnz = grow.iter().filter(|&&g| g != 0.0).count();
-                    if 4 * nnz >= ow {
-                        plans.push(RowPlan::Dense);
-                        continue;
+                for (wt, w9) in wtab.chunks_exact_mut(nt).zip(wgt.chunks_exact(9)) {
+                    for (d, &k) in wt.iter_mut().zip(&kidx[..nt]) {
+                        *d = w9[k];
                     }
                 }
-                let start = nz.len() as u32;
-                for (oj, &g) in grow.iter().enumerate() {
-                    if g == 0.0 {
-                        continue;
-                    }
-                    let base_j = (oj * s.stride) as isize - s.pad as isize;
-                    let kj_lo = ((-base_j).max(0) as usize).min(3);
-                    let kj_hi = ((s.w as isize - base_j).max(0) as usize).min(3);
-                    if kj_lo >= kj_hi {
-                        continue;
-                    }
-                    nz.push(NzEntry {
-                        base_i: base_i as i32,
-                        base_j: base_j as i32,
-                        ki_lo: ki_lo as u8,
-                        ki_hi: ki_hi as u8,
-                        kj_lo: kj_lo as u8,
-                        kj_hi: kj_hi as u8,
-                        g,
-                    });
+                let (ni, nj) = ((h - r).div_ceil(st), (w - c).div_ceil(st));
+                let acc = &mut acc[..s.cin * ni * wrp];
+                acc.fill(0.0);
+                let wt = &wtab[..s.cout * s.cin * nt];
+                match nt {
+                    1 => conv3x3_gx_phase::<L, 1>(acc, &gp, wt, &offs, ni, wrp, gcols, s),
+                    2 => conv3x3_gx_phase::<L, 2>(acc, &gp, wt, &offs, ni, wrp, gcols, s),
+                    4 => conv3x3_gx_phase::<L, 4>(acc, &gp, wt, &offs, ni, wrp, gcols, s),
+                    9 => conv3x3_gx_phase::<L, 9>(acc, &gp, wt, &offs, ni, wrp, gcols, s),
+                    _ => unreachable!("a 3×3 stride phase has 0, 1, 2, 4 or 9 taps"),
                 }
-                plans.push(RowPlan::Entries {
-                    start,
-                    end: nz.len() as u32,
-                });
+                for (ci, gxc) in gxb.chunks_exact_mut(h * w).enumerate() {
+                    for (i, arow) in acc[ci * ni * wrp..][..ni * wrp]
+                        .chunks_exact(wrp)
+                        .enumerate()
+                    {
+                        scatter_strided(&mut gxc[(st * i + r) * w + c..], &arow[..nj], st);
+                    }
+                }
             }
-            for ci in 0..s.cin {
-                let xc = &xb[ci * hw..][..hw];
-                let gxc = &mut gxb[ci * hw..][..hw];
-                let wbase = (co * s.cin + ci) * 9;
-                let wsl: [f32; 9] = wgt[wbase..wbase + 9].try_into().expect("3x3 kernel");
-                let mut gwacc: [f32; 9] = gw[wbase..wbase + 9].try_into().expect("3x3 kernel");
-                for (oi, plan) in plans.iter().enumerate() {
-                    match *plan {
-                        RowPlan::Empty => {}
-                        RowPlan::Entries { start, end } => {
-                            for e in &nz[start as usize..end as usize] {
-                                let g = e.g;
-                                if e.ki_lo == 0 && e.ki_hi == 3 && e.kj_lo == 0 && e.kj_hi == 3 {
-                                    // Full-interior 3×3 block: straight
-                                    // line, reference (ki, kj) order.
-                                    let mut r0 = (e.base_i as usize) * s.w + e.base_j as usize;
-                                    for wb in [0usize, 3, 6] {
-                                        let xr = &xc[r0..r0 + 3];
-                                        let gxr = &mut gxc[r0..r0 + 3];
-                                        gxr[0] += g * wsl[wb];
-                                        gwacc[wb] += g * xr[0];
-                                        gxr[1] += g * wsl[wb + 1];
-                                        gwacc[wb + 1] += g * xr[1];
-                                        gxr[2] += g * wsl[wb + 2];
-                                        gwacc[wb + 2] += g * xr[2];
-                                        r0 += s.w;
-                                    }
-                                    continue;
-                                }
-                                let span = (e.kj_hi - e.kj_lo) as usize;
-                                for ki in e.ki_lo..e.ki_hi {
-                                    let ii = (e.base_i + i32::from(ki)) as usize;
-                                    let row0 = ii * s.w + (e.base_j + i32::from(e.kj_lo)) as usize;
-                                    let wb = usize::from(ki) * 3 + usize::from(e.kj_lo);
-                                    let gxrow = &mut gxc[row0..row0 + span];
-                                    let xrow = &xc[row0..row0 + span];
-                                    for q in 0..span {
-                                        gxrow[q] += g * wsl[wb + q];
-                                        gwacc[wb + q] += g * xrow[q];
-                                    }
-                                }
-                            }
-                        }
-                        RowPlan::Dense => {
-                            // Interior row, stride 1, pad 1 (oi-th output
-                            // row reads input rows oi-1+ki). A gx element
-                            // jj receives, in the reference's oj-ascending
-                            // order, g[jj-1]·w₂ then g[jj]·w₁ then
-                            // g[jj+1]·w₀ — a 3-tap correlation computed in
-                            // one vectorizable pass. gw is the matching
-                            // 3-chain dot. Zero gradients contribute
-                            // explicit ±0.0 terms (bit-safe).
-                            let grow = &gsl[oi * ow..][..ow];
-                            for ki in 0..3usize {
-                                let gxrow = &mut gxc[(oi + ki - 1) * s.w..][..s.w];
-                                let wb = ki * 3;
-                                let (w0, w1, w2) = (wsl[wb], wsl[wb + 1], wsl[wb + 2]);
-                                gxrow[0] = (gxrow[0] + grow[0] * w1) + grow[1] * w0;
-                                // Interior: the strict SIMD 3-tap stencil
-                                // (taps reversed — correlation, not conv).
-                                simd::dispatch_stencil3(
-                                    true,
-                                    &mut gxrow[1..ow - 1],
-                                    &grow[..ow],
-                                    w2,
-                                    w1,
-                                    w0,
-                                );
-                                gxrow[ow - 1] =
-                                    (gxrow[ow - 1] + grow[ow - 2] * w2) + grow[ow - 1] * w1;
-                            }
-                            // gw: all nine (ki, kj) chains advance in one
-                            // oj pass (oj ascending per chain, as in the
-                            // reference). Each kernel row's three chains
-                            // sit in lanes 0..3 of a 4-lane accumulator
-                            // (lane 3 is a discarded dummy chain), so the
-                            // inner update is a plain lane-wise SIMD
-                            // multiply-add — no chain is ever split.
-                            let x0 = &xc[(oi - 1) * s.w..][..s.w];
-                            let x1 = &xc[oi * s.w..][..s.w];
-                            let x2 = &xc[(oi + 1) * s.w..][..s.w];
-                            let mut a0 = [gwacc[0], gwacc[1], gwacc[2], 0.0];
-                            let mut a1 = [gwacc[3], gwacc[4], gwacc[5], 0.0];
-                            let mut a2 = [gwacc[6], gwacc[7], gwacc[8], 0.0];
-                            let g0 = grow[0];
-                            a0[1] += g0 * x0[0];
-                            a0[2] += g0 * x0[1];
-                            a1[1] += g0 * x1[0];
-                            a1[2] += g0 * x1[1];
-                            a2[1] += g0 * x2[0];
-                            a2[2] += g0 * x2[1];
-                            if ow >= 4 {
-                                for oj in 1..ow - 2 {
-                                    let g = grow[oj];
-                                    let (v0, v1, v2) = (
-                                        &x0[oj - 1..oj + 3],
-                                        &x1[oj - 1..oj + 3],
-                                        &x2[oj - 1..oj + 3],
-                                    );
-                                    for l in 0..4 {
-                                        a0[l] += g * v0[l];
-                                        a1[l] += g * v1[l];
-                                        a2[l] += g * v2[l];
-                                    }
-                                }
-                                let g = grow[ow - 2];
-                                a0[0] += g * x0[ow - 3];
-                                a0[1] += g * x0[ow - 2];
-                                a0[2] += g * x0[ow - 1];
-                                a1[0] += g * x1[ow - 3];
-                                a1[1] += g * x1[ow - 2];
-                                a1[2] += g * x1[ow - 1];
-                                a2[0] += g * x2[ow - 3];
-                                a2[1] += g * x2[ow - 2];
-                                a2[2] += g * x2[ow - 1];
-                            } else {
-                                for oj in 1..ow - 1 {
-                                    let g = grow[oj];
-                                    a0[0] += g * x0[oj - 1];
-                                    a0[1] += g * x0[oj];
-                                    a0[2] += g * x0[oj + 1];
-                                    a1[0] += g * x1[oj - 1];
-                                    a1[1] += g * x1[oj];
-                                    a1[2] += g * x1[oj + 1];
-                                    a2[0] += g * x2[oj - 1];
-                                    a2[1] += g * x2[oj];
-                                    a2[2] += g * x2[oj + 1];
-                                }
-                            }
-                            let gl = grow[ow - 1];
-                            a0[0] += gl * x0[ow - 2];
-                            a0[1] += gl * x0[ow - 1];
-                            a1[0] += gl * x1[ow - 2];
-                            a1[1] += gl * x1[ow - 1];
-                            a2[0] += gl * x2[ow - 2];
-                            a2[1] += gl * x2[ow - 1];
-                            gwacc[0] = a0[0];
-                            gwacc[1] = a0[1];
-                            gwacc[2] = a0[2];
-                            gwacc[3] = a1[0];
-                            gwacc[4] = a1[1];
-                            gwacc[5] = a1[2];
-                            gwacc[6] = a2[0];
-                            gwacc[7] = a2[1];
-                            gwacc[8] = a2[2];
+        }
+    }
+    scratch.give(gp);
+    scratch.give(acc);
+    scratch.give(wtab);
+}
+
+/// One stride phase of [`conv3x3_gx_window`]: `acc[ci, I, J]` (rows of
+/// `wrp`) accumulates its `NT` lattice taps — gradient-plane offsets
+/// `offs`, weights `wtab[co][ci][t]` — for every output channel.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn conv3x3_gx_phase<const L: usize, const NT: usize>(
+    acc: &mut [f32],
+    gp: &[f32],
+    wtab: &[f32],
+    offs: &[usize; 9],
+    ni: usize,
+    wrp: usize,
+    gcols: usize,
+    s: &ConvShape,
+) {
+    let gplane = gp.len() / s.cout;
+    for (co, gc) in gp.chunks_exact(gplane).enumerate() {
+        for i in 0..ni {
+            let gr = &gc[i * gcols..];
+            let tap: [&[f32]; NT] = std::array::from_fn(|t| &gr[offs[t]..][..wrp]);
+            for jb in (0..wrp).step_by(L) {
+                let win: [[f32; L]; NT] = std::array::from_fn(|t| lanes(tap[t], jb));
+                for ci in 0..s.cin {
+                    let wt = &wtab[(co * s.cin + ci) * NT..][..NT];
+                    let o = &mut acc[(ci * ni + i) * wrp + jb..][..L];
+                    let mut v: [f32; L] = lanes(o, 0);
+                    for t in 0..NT {
+                        for l in 0..L {
+                            v[l] += win[t][l] * wt[t];
                         }
                     }
+                    o.copy_from_slice(&v);
                 }
-                gw[wbase..wbase + 9].copy_from_slice(&gwacc);
             }
+        }
+    }
+}
+
+/// Weight gradient (any stride). The input is copied channels-last into
+/// a zero-padded plane, so the `(kj, ci)` taps of one kernel row at one
+/// output position are `3·cin` contiguous floats: the lanes of that
+/// kernel row's weight-gradient chains, padded to whole lane blocks.
+/// [`conv3x3_gw_pass`] holds a few blocks of all three kernel rows in
+/// registers and advances them in `(bi, oi, oj)` order, the
+/// reference's, with zero gradients and padding as explicit `±0.0`
+/// terms.
+#[inline(always)]
+fn conv3x3_gw_lanes<const L: usize>(
+    gw: &mut [f32],
+    x: &[f32],
+    gout: &[f32],
+    s: &ConvShape,
+    scratch: &mut ScratchArena,
+) {
+    let (oh, ow, cin) = (s.oh(), s.ow(), s.cin);
+    // One block per kernel row when it holds all `3·cin` lanes, three
+    // otherwise (a pass then carries nine register accumulators).
+    let blocks = if 3 * cin <= L { 1 } else { 3 };
+    let np = (3 * cin).next_multiple_of(blocks * L);
+    let rowlen = (s.w + 2 * s.pad) * cin;
+    // Slack past the last row for the padded lanes of the last window.
+    let mut xcl = scratch.take_zeroed((s.h + 2 * s.pad) * rowlen + np);
+    // accw[co][ki][kj·cin + ci], `np` lanes per kernel row.
+    let mut accw = scratch.take_zeroed(s.cout * 3 * np);
+    for bi in 0..s.batch {
+        let xb = &x[bi * cin * s.h * s.w..][..cin * s.h * s.w];
+        for (ci, xc) in xb.chunks_exact(s.h * s.w).enumerate() {
+            for (i, xrow) in xc.chunks_exact(s.w).enumerate() {
+                scatter_strided(
+                    &mut xcl[(i + s.pad) * rowlen + s.pad * cin + ci..],
+                    xrow,
+                    cin,
+                );
+            }
+        }
+        for co in 0..s.cout {
+            let gpl = &gout[(bi * s.cout + co) * oh * ow..][..oh * ow];
+            let aw = &mut accw[co * 3 * np..][..3 * np];
+            for b0 in (0..np).step_by(blocks * L) {
+                if blocks == 1 {
+                    conv3x3_gw_pass::<L, 1>(aw, b0, np, &xcl, rowlen, gpl, s);
+                } else {
+                    conv3x3_gw_pass::<L, 3>(aw, b0, np, &xcl, rowlen, gpl, s);
+                }
+            }
+        }
+    }
+    for co in 0..s.cout {
+        for ci in 0..cin {
+            for t in 0..9 {
+                gw[(co * cin + ci) * 9 + t] = accw[(co * 3 + t / 3) * np + (t % 3) * cin + ci];
+            }
+        }
+    }
+    scratch.give(xcl);
+    scratch.give(accw);
+}
+
+/// One [`conv3x3_gw_lanes`] pass over one item's output positions: the
+/// lanes `b0..b0 + B·L` of each kernel row's chains (`aw` rows of `np`)
+/// advance by `g · x` in `(oi, oj)` order. Position `oj`'s lanes of
+/// kernel row `ki` start `oj·stride·cin` into that row's slice of the
+/// channels-last plane `xcl`.
+#[inline(always)]
+fn conv3x3_gw_pass<const L: usize, const B: usize>(
+    aw: &mut [f32],
+    b0: usize,
+    np: usize,
+    xcl: &[f32],
+    rowlen: usize,
+    gpl: &[f32],
+    s: &ConvShape,
+) {
+    let (ow, step) = (s.ow(), s.stride * s.cin);
+    let mut acc = [[[0f32; L]; B]; 3];
+    for (ki, a) in acc.iter_mut().enumerate() {
+        for (ab, src) in a
+            .iter_mut()
+            .zip(aw[ki * np + b0..][..B * L].chunks_exact(L))
+        {
+            ab.copy_from_slice(src);
+        }
+    }
+    let len = (ow - 1) * step + B * L;
+    for (oi, grow) in gpl.chunks_exact(ow).enumerate() {
+        let [w0, w1, w2]: [_; 3] = std::array::from_fn(|ki| {
+            xcl[(oi * s.stride + ki) * rowlen + b0..][..len]
+                .windows(B * L)
+                .step_by(step)
+        });
+        for (((&g, x0), x1), x2) in grow.iter().zip(w0).zip(w1).zip(w2) {
+            for (a, xs) in acc.iter_mut().zip([x0, x1, x2]) {
+                for (b, ab) in a.iter_mut().enumerate() {
+                    let xv: [f32; L] = lanes(xs, b * L);
+                    for l in 0..L {
+                        ab[l] += g * xv[l];
+                    }
+                }
+            }
+        }
+    }
+    for (ki, a) in acc.iter().enumerate() {
+        for (ab, dst) in a
+            .iter()
+            .zip(aw[ki * np + b0..][..B * L].chunks_exact_mut(L))
+        {
+            dst.copy_from_slice(ab);
         }
     }
 }

@@ -31,17 +31,19 @@
 //!   kernels may fuse multiply-adds and split reduction chains across
 //!   lanes/accumulators (the NT kernel becomes a wide FMA dot product).
 //!   Results are tolerance-equivalent, not bit-identical; the equivalence
-//!   suite lives in `cv-tests/compute_core.rs`. The conv stencils and the
-//!   conv im2col lowering stay strict even in relaxed mode, so Contract 9
-//!   for convolution holds unconditionally.
+//!   suite lives in `cv-tests/compute_core.rs`. The conv kernels (the
+//!   channel-blocked 3×3 bodies and the im2col lowering) stay strict even
+//!   in relaxed mode, so Contract 9 for convolution holds
+//!   unconditionally.
 //!
 //! # Safety argument
 //!
 //! All `unsafe` is confined to this module and takes exactly two shapes:
 //!
 //! 1. **ISA availability.** AVX2 kernel bodies live behind
-//!    `#[target_feature(enable = "avx2,fma")]` functions that are only
-//!    reachable through a [`SimdLevel::Avx2`] dispatch, and that level is
+//!    `#[target_feature(enable = "avx2,fma")]` functions (`avx2` alone
+//!    for the conv entries) that are only reachable through a
+//!    [`SimdLevel::Avx2`] dispatch, and that level is
 //!    only ever produced by [`detected_level`] observing `avx2`+`fma` at
 //!    runtime ([`set_simd_level`] and the `CV_SIMD` parser refuse
 //!    unsupported requests). SSE2 needs no check: it is part of the
@@ -393,71 +395,42 @@ pub(super) fn dispatch_nt(out: &mut [f32], g: &[f32], b: &[f32], n: usize, kk: u
     super::nt_block_scalar(out, g, b, n, kk);
 }
 
-#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
-fn stencil3_run(
-    level: SimdLevel,
-    acc: bool,
-    dst: &mut [f32],
-    src: &[f32],
-    t0: f32,
-    t1: f32,
-    t2: f32,
+/// The 3×3 conv forward at the active tier: the portable body of the
+/// parent module, plain (`L = 4`) on the scalar and sse2 tiers and
+/// compiled for avx2 (`L = 8`) on the avx2 tier — the same per-element
+/// operation sequence either way, so conv is strict at every tier.
+pub(super) fn dispatch_conv3x3_forward(
+    out: &mut [f32],
+    x: &[f32],
+    wgt: &[f32],
+    s: &super::ConvShape,
+    scratch: &mut crate::arena::ScratchArena,
 ) {
-    match level {
-        SimdLevel::Scalar => stencil3_scalar(acc, dst, src, t0, t1, t2),
+    match simd_level() {
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse2 => x86::stencil3_sse2(acc, dst, src, t0, t1, t2),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as for NN — Avx2 implies a successful runtime probe.
-        SimdLevel::Avx2 => unsafe { x86::stencil3_avx2(acc, dst, src, t0, t1, t2) },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => unreachable!("non-scalar SIMD level on a non-x86-64 build"),
+        // SAFETY: Avx2 is only produced by a dispatch that observed
+        // avx2 via `detected_level()` (see module safety argument).
+        SimdLevel::Avx2 => unsafe { x86::conv3x3_forward_avx2(out, x, wgt, s, scratch) },
+        _ => super::conv3x3_forward_body::<4>(out, x, wgt, s, scratch),
     }
 }
 
-/// 3-tap stencil `dst[i] (+)= src[i]·t0 + src[i+1]·t1 + src[i+2]·t2` at
-/// the active tier — **always strict** (every tier is bit-identical; the
-/// relaxed toggle is ignored), preserving the conv fused-path chains
-/// `((d + s0·t0) + s1·t1) + s2·t2` (acc) and `(s0·t0 + s1·t1) + s2·t2`
-/// (set).
-///
-/// # Panics
-///
-/// Panics unless `src.len() >= dst.len() + 2`.
-pub(super) fn dispatch_stencil3(
-    acc: bool,
-    dst: &mut [f32],
-    src: &[f32],
-    t0: f32,
-    t1: f32,
-    t2: f32,
+/// The 3×3 conv backward at the active tier (see
+/// [`dispatch_conv3x3_forward`]).
+pub(super) fn dispatch_conv3x3_backward(
+    gx: &mut [f32],
+    gw: &mut [f32],
+    x: &[f32],
+    wgt: &[f32],
+    gout: &[f32],
+    s: &super::ConvShape,
+    scratch: &mut crate::arena::ScratchArena,
 ) {
-    assert!(
-        src.len() >= dst.len() + 2,
-        "stencil3: src shorter than dst+2"
-    );
-    stencil3_run(
-        level_for_width(simd_level(), dst.len()),
-        acc,
-        dst,
-        src,
-        t0,
-        t1,
-        t2,
-    );
-}
-
-/// The scalar 3-tap stencil, written exactly like the conv fused-path
-/// interior loops it replaces (same per-element chains).
-fn stencil3_scalar(acc: bool, dst: &mut [f32], src: &[f32], t0: f32, t1: f32, t2: f32) {
-    if acc {
-        for (i, d) in dst.iter_mut().enumerate() {
-            *d = ((*d + src[i] * t0) + src[i + 1] * t1) + src[i + 2] * t2;
-        }
-    } else {
-        for (i, d) in dst.iter_mut().enumerate() {
-            *d = (src[i] * t0 + src[i + 1] * t1) + src[i + 2] * t2;
-        }
+    match simd_level() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as for the forward.
+        SimdLevel::Avx2 => unsafe { x86::conv3x3_backward_avx2(gx, gw, x, wgt, gout, s, scratch) },
+        _ => super::conv3x3_backward_body::<4>(gx, gw, x, wgt, gout, s, scratch),
     }
 }
 
@@ -584,26 +557,6 @@ pub fn gemm_tn_at(
         return;
     }
     tn_run(level, mode == KernelMode::Relaxed, out, a, g, 0, m, k, n);
-}
-
-/// The conv 3-tap stencil through one specific tier (always strict);
-/// `acc` selects the accumulating form. See `dispatch_stencil3` for
-/// the chain shapes.
-///
-/// # Panics
-///
-/// Panics if `level` is unsupported or `src.len() < dst.len() + 2`.
-pub fn stencil3_at(level: SimdLevel, acc: bool, dst: &mut [f32], src: &[f32], taps: [f32; 3]) {
-    assert!(
-        level.is_supported(),
-        "SIMD level {:?} unsupported here",
-        level
-    );
-    assert!(
-        src.len() >= dst.len() + 2,
-        "stencil3: src shorter than dst+2"
-    );
-    stencil3_run(level, acc, dst, src, taps[0], taps[1], taps[2]);
 }
 
 // ---------------------------------------------------------------------
@@ -1015,58 +968,6 @@ mod x86 {
     }
 
     // -----------------------------------------------------------------
-    // 3-tap stencil
-    // -----------------------------------------------------------------
-
-    /// Vectorized conv 3-tap stencil: three shifted unaligned loads per
-    /// tile, per-element chain identical to the scalar fused paths
-    /// (separate mul/add — always strict).
-    ///
-    /// Safety: `src` must be valid for `dst.len() + 2` reads (asserted
-    /// by every dispatch wrapper); `dst`/`src` cannot alias (distinct
-    /// `&mut`/`&` borrows).
-    #[inline(always)]
-    unsafe fn stencil3_v<V: VecF32, const ACC: bool>(
-        dst: &mut [f32],
-        src: &[f32],
-        t0: f32,
-        t1: f32,
-        t2: f32,
-    ) {
-        let len = dst.len();
-        let dp = dst.as_mut_ptr();
-        let sp = src.as_ptr();
-        let v0 = V::splat(t0);
-        let v1 = V::splat(t1);
-        let v2 = V::splat(t2);
-        let mut i = 0;
-        while i + V::LANES <= len {
-            let s0 = V::loadu(sp.add(i));
-            let s1 = V::loadu(sp.add(i + 1));
-            let s2 = V::loadu(sp.add(i + 2));
-            let r = if ACC {
-                V::add(
-                    V::add(V::add(V::loadu(dp.add(i)), V::mul(s0, v0)), V::mul(s1, v1)),
-                    V::mul(s2, v2),
-                )
-            } else {
-                V::add(V::add(V::mul(s0, v0), V::mul(s1, v1)), V::mul(s2, v2))
-            };
-            V::storeu(dp.add(i), r);
-            i += V::LANES;
-        }
-        while i < len {
-            let (s0, s1, s2) = (*sp.add(i), *sp.add(i + 1), *sp.add(i + 2));
-            *dp.add(i) = if ACC {
-                ((*dp.add(i) + s0 * t0) + s1 * t1) + s2 * t2
-            } else {
-                (s0 * t0 + s1 * t1) + s2 * t2
-            };
-            i += 1;
-        }
-    }
-
-    // -----------------------------------------------------------------
     // Monomorphic entry points
     // -----------------------------------------------------------------
     //
@@ -1204,43 +1105,34 @@ mod x86 {
         nt_dot_v::<Avx2>(out, g, b, n, kk);
     }
 
-    pub(super) fn stencil3_sse2(
-        acc: bool,
-        dst: &mut [f32],
-        src: &[f32],
-        t0: f32,
-        t1: f32,
-        t2: f32,
+    /// # Safety
+    ///
+    /// Requires runtime-detected `avx2`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn conv3x3_forward_avx2(
+        out: &mut [f32],
+        x: &[f32],
+        wgt: &[f32],
+        s: &super::super::ConvShape,
+        scratch: &mut crate::arena::ScratchArena,
     ) {
-        debug_assert!(src.len() >= dst.len() + 2);
-        // SAFETY: baseline ISA; src length asserted by every caller.
-        unsafe {
-            if acc {
-                stencil3_v::<Sse2, true>(dst, src, t0, t1, t2);
-            } else {
-                stencil3_v::<Sse2, false>(dst, src, t0, t1, t2);
-            }
-        }
+        super::super::conv3x3_forward_body::<8>(out, x, wgt, s, scratch);
     }
 
     /// # Safety
     ///
-    /// Requires runtime-detected `avx2` and `fma`.
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn stencil3_avx2(
-        acc: bool,
-        dst: &mut [f32],
-        src: &[f32],
-        t0: f32,
-        t1: f32,
-        t2: f32,
+    /// Requires runtime-detected `avx2`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn conv3x3_backward_avx2(
+        gx: &mut [f32],
+        gw: &mut [f32],
+        x: &[f32],
+        wgt: &[f32],
+        gout: &[f32],
+        s: &super::super::ConvShape,
+        scratch: &mut crate::arena::ScratchArena,
     ) {
-        debug_assert!(src.len() >= dst.len() + 2);
-        if acc {
-            stencil3_v::<Avx2, true>(dst, src, t0, t1, t2);
-        } else {
-            stencil3_v::<Avx2, false>(dst, src, t0, t1, t2);
-        }
+        super::super::conv3x3_backward_body::<8>(gx, gw, x, wgt, gout, s, scratch);
     }
 }
 
@@ -1397,28 +1289,6 @@ mod tests {
                         .all(|(x, y)| x.to_bits() == y.to_bits()),
                     "tn {level:?} ({m},{k},{n})"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn stencil_levels_are_bit_identical() {
-        for len in [0usize, 1, 2, 3, 5, 8, 13, 31, 64, 100] {
-            let src = vals(len + 2, 31);
-            let taps = [0.5f32, -1.25, 2.0];
-            for acc in [false, true] {
-                let mut base = vals(len, 32);
-                stencil3_at(SimdLevel::Scalar, acc, &mut base, &src, taps);
-                for level in supported() {
-                    let mut out = vals(len, 32);
-                    stencil3_at(level, acc, &mut out, &src, taps);
-                    assert!(
-                        out.iter()
-                            .zip(&base)
-                            .all(|(x, y)| x.to_bits() == y.to_bits()),
-                        "stencil {level:?} len={len} acc={acc}"
-                    );
-                }
             }
         }
     }

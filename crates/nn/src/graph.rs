@@ -418,8 +418,9 @@ impl Graph {
     }
 
     /// 2-D convolution: `x [b, cin, h, w]` with `w [cout, cin, kh, kw]`,
-    /// zero padding `pad`, stride `stride` — lowered onto the GEMM core
-    /// through an im2col scratch path.
+    /// zero padding `pad`, stride `stride` — run by the compute core's
+    /// conv kernels (channel-blocked direct kernels for 3×3, im2col for
+    /// other sizes), with kernel scratch drawn from the graph's arena.
     pub fn conv2d(&mut self, x: Var, w: Var, stride: usize, pad: usize) -> Var {
         let (tx, tw) = (&self.nodes[x.0].value, &self.nodes[w.0].value);
         let shape = ConvShape::from_shapes(tx.shape(), tw.shape(), stride, pad);

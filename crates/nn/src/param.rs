@@ -120,20 +120,21 @@ impl ParamStore {
             .zip(self.m.iter_mut().zip(self.v.iter_mut()))
         {
             assert_eq!(value.shape(), grad.shape(), "gradient shape misaligned");
-            let vd = value.data_mut();
-            let md = m.data_mut();
-            let vvd = v.data_mut();
-            for i in 0..vd.len() {
-                let mut g = grad.data()[i];
-                if !g.is_finite() {
-                    g = 0.0; // drop pathological gradients rather than poisoning weights
-                }
+            // Every slice cut to one length, so the loop carries no
+            // bounds checks and vectorizes; the per-element operations
+            // are unchanged.
+            let n = value.numel();
+            let (vd, gd) = (&mut value.data_mut()[..n], &grad.data()[..n]);
+            let (md, vvd) = (&mut m.data_mut()[..n], &mut v.data_mut()[..n]);
+            for (((w, &g), mi), vi) in vd.iter_mut().zip(gd).zip(md).zip(vvd) {
+                // Drop pathological gradients rather than poisoning weights.
+                let g = if g.is_finite() { g } else { 0.0 };
                 let gc = g.clamp(-cfg.grad_clip, cfg.grad_clip);
-                md[i] = cfg.beta1 * md[i] + (1.0 - cfg.beta1) * gc;
-                vvd[i] = cfg.beta2 * vvd[i] + (1.0 - cfg.beta2) * gc * gc;
-                let mhat = md[i] / bc1;
-                let vhat = vvd[i] / bc2;
-                vd[i] -= cfg.lr * mhat / (vhat.sqrt() + cfg.eps);
+                *mi = cfg.beta1 * *mi + (1.0 - cfg.beta1) * gc;
+                *vi = cfg.beta2 * *vi + (1.0 - cfg.beta2) * gc * gc;
+                let mhat = *mi / bc1;
+                let vhat = *vi / bc2;
+                *w -= cfg.lr * mhat / (vhat.sqrt() + cfg.eps);
             }
         }
     }
@@ -211,6 +212,81 @@ mod tests {
         let w = store.add(Tensor::scalar(1.0));
         store.adam_step(&[Tensor::scalar(f32::NAN)], &AdamConfig::default());
         assert!(store.value(w).item().is_finite());
+    }
+
+    #[test]
+    fn adam_matches_a_per_element_reference_bitwise() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let cfg = AdamConfig {
+            lr: 3e-3,
+            grad_clip: 2.0,
+            ..AdamConfig::default()
+        };
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut store = ParamStore::new();
+        for len in [1usize, 7, 64, 333] {
+            let data = (0..len).map(|_| rng.gen_range(-3.0f32..3.0)).collect();
+            store.add(Tensor::new([len], data));
+        }
+        let mut want: Vec<(Vec<f32>, Vec<f32>, Vec<f32>)> = (0..store.len())
+            .map(|i| {
+                (
+                    store.raw_parts(i).0.data().to_vec(),
+                    vec![0.0; store.raw_parts(i).0.numel()],
+                    vec![0.0; store.raw_parts(i).0.numel()],
+                )
+            })
+            .collect();
+        for step in 1..=5u64 {
+            let grads: Vec<Tensor> = want
+                .iter()
+                .map(|(w, _, _)| {
+                    let g = (0..w.len())
+                        .map(|_| match rng.gen_range(0..8u32) {
+                            0 => f32::NAN,
+                            1 => f32::INFINITY,
+                            2 => f32::NEG_INFINITY,
+                            3 => rng.gen_range(-50.0f32..50.0),
+                            _ => rng.gen_range(-1.0f32..1.0),
+                        })
+                        .collect();
+                    Tensor::new([w.len()], g)
+                })
+                .collect();
+            store.adam_step(&grads, &cfg);
+            let t = step as f64;
+            let bc1 = 1.0 - cfg.beta1.powf(t as f32);
+            let bc2 = 1.0 - cfg.beta2.powf(t as f32);
+            for ((w, m, v), grad) in want.iter_mut().zip(&grads) {
+                for i in 0..w.len() {
+                    let mut g = grad.data()[i];
+                    if !g.is_finite() {
+                        g = 0.0;
+                    }
+                    let gc = g.clamp(-cfg.grad_clip, cfg.grad_clip);
+                    m[i] = cfg.beta1 * m[i] + (1.0 - cfg.beta1) * gc;
+                    v[i] = cfg.beta2 * v[i] + (1.0 - cfg.beta2) * gc * gc;
+                    let mhat = m[i] / bc1;
+                    let vhat = v[i] / bc2;
+                    w[i] -= cfg.lr * mhat / (vhat.sqrt() + cfg.eps);
+                }
+            }
+            for (i, (w, m, v)) in want.iter().enumerate() {
+                let (gw, gm, gv) = store.raw_parts(i);
+                for (got, exp) in [(gw, w), (gm, m), (gv, v)] {
+                    let same = got
+                        .data()
+                        .iter()
+                        .zip(exp)
+                        .all(|(a, b)| a.to_bits() == b.to_bits());
+                    assert!(
+                        same,
+                        "step {step}, parameter {i} diverged from the reference"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

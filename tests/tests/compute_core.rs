@@ -108,9 +108,10 @@ proptest! {
         }
     }
 
-    /// The im2col/shifted-plane conv forward and the fused backward are
-    /// bit-identical to the retained direct kernels across geometries
-    /// (strides 1–2, pads 0–2, kernels 1–4, empty batches).
+    /// The conv forward and backward (channel-blocked 3×3 kernels,
+    /// im2col and the direct loop for other sizes) are bit-identical to
+    /// the retained direct kernels across geometries (strides 1–2, pads
+    /// 0–2, kernels 1–4, empty batches).
     #[test]
     fn conv_kernels_match_reference_bitwise(
         geom in (0usize..3, 1usize..4, 1usize..9, 1usize..9),
@@ -144,8 +145,9 @@ proptest! {
         assert_bits_eq(&gw_f, &gw_n, "conv2d backward gw");
     }
 
-    /// 3×3 stride-1/2 geometries with ReLU-like sparse gradients — the
-    /// exact regime the dense-row/entry-list specializations target.
+    /// 3×3 stride-1/2 geometries with ReLU-like sparse gradients, from
+    /// all-zero to dense — the blocked kernels add the zeros the
+    /// reference skips.
     #[test]
     fn conv3x3_sparse_gradients_match_reference_bitwise(
         geom in (1usize..3, 1usize..4, 3usize..12, 1usize..3),
@@ -233,13 +235,19 @@ fn model_conv_geometries_match_reference_bitwise() {
 /// statement of Contract 9 the `gemm` bench A/B rides on.
 #[test]
 fn training_step_is_bit_identical_across_kernel_paths() {
+    // Width 26 exercises the crop path for real; width 32 with six
+    // channels is the paper CNN's conv geometry.
+    training_step_case(26, 4);
+    training_step_case(32, 6);
+}
+
+fn training_step_case(width: usize, channels: usize) {
     use circuitvae::{CircuitVaeConfig, CircuitVaeModel, Dataset, ModelArch};
     use cv_prefix::{mutate, GridMetrics, PrefixGrid};
 
-    let width = 26; // odd-ish CNN width: exercises the crop path for real
     let mut cfg = CircuitVaeConfig::smoke(width);
     cfg.arch = ModelArch::Cnn {
-        channels: 4,
+        channels,
         hidden: 32,
     };
     cfg.batch_size = 12;
@@ -267,11 +275,11 @@ fn training_step_is_bit_identical_across_kernel_paths() {
     assert_eq!(
         loss_ref.to_bits(),
         loss_fast.to_bits(),
-        "training loss must be bit-identical across kernel paths"
+        "width {width}: training loss must be bit-identical across kernel paths"
     );
     assert_eq!(
         params_ref, params_fast,
-        "trained parameters must be bit-identical across kernel paths"
+        "width {width}: trained parameters must be bit-identical across kernel paths"
     );
 }
 
@@ -326,29 +334,6 @@ proptest! {
             let mut got = vec![0.0f32; k * n];
             gemm::gemm_tn_at(level, KernelMode::Strict, &mut got, &a, &g2, m, k, n);
             assert_bits_eq(&got, &want, &format!("tn strict {}", level.name()));
-        }
-    }
-
-    /// The conv 3-tap stencil is always strict: every level reproduces
-    /// the scalar chain bit-for-bit, in both accumulate and set modes,
-    /// across lengths straddling the vector width and its tails.
-    #[test]
-    fn stencil_simd_levels_match_scalar_bitwise(
-        len in 0usize..64,
-        extra in 0usize..5,
-        acc in any::<bool>(),
-        seed in 0u64..1_000_000,
-    ) {
-        let src = vals(len + 2 + extra, seed);
-        let taps_v = vals(3, seed + 1);
-        let taps = [taps_v[0], taps_v[1], taps_v[2]];
-        let init = vals(len, seed + 2);
-        let mut want = init.clone();
-        gemm::stencil3_at(SimdLevel::Scalar, acc, &mut want, &src, taps);
-        for level in supported_levels() {
-            let mut got = init.clone();
-            gemm::stencil3_at(level, acc, &mut got, &src, taps);
-            assert_bits_eq(&got, &want, &format!("stencil3 {} acc={acc}", level.name()));
         }
     }
 
@@ -520,9 +505,10 @@ fn tiny_and_ragged_shapes_are_exact_at_every_level() {
     gemm::set_simd_level(entry);
 }
 
-/// The conv pipeline (im2col forward, fused 3-tap backward) is
-/// bit-identical to the direct reference at every supported SIMD level
-/// — conv is always strict under Contract 12, no opt-out.
+/// The channel-blocked 3×3 conv kernels are bit-identical to the direct
+/// reference at every supported SIMD level — conv is always strict
+/// under Contract 12, no opt-out — on the paper CNN's geometries and on
+/// widths that end in a ragged lane block.
 #[test]
 fn conv_is_bit_identical_at_every_simd_level() {
     let entry = gemm::simd_level();
@@ -532,6 +518,17 @@ fn conv_is_bit_identical_at_every_simd_level() {
             (2usize, 1usize, 4usize, 9usize, 1usize),
             (1, 3, 2, 12, 2),
             (3, 2, 2, 7, 1),
+            // The width-32 paper CNN: encoder conv1/conv2, decoder
+            // conv1/conv2.
+            (2, 1, 6, 32, 2),
+            (2, 6, 12, 16, 2),
+            (2, 12, 6, 16, 1),
+            (2, 6, 1, 32, 1),
+            // Widths that leave a ragged last lane block at every tier.
+            (2, 6, 1, 31, 1),
+            (2, 1, 6, 31, 2),
+            (2, 3, 4, 13, 1),
+            (2, 4, 3, 13, 2),
         ] {
             let s = ConvShape {
                 batch,
