@@ -9,7 +9,7 @@ use circuitvae::driver::{
 use cv_prefix::{mutate, topologies, PrefixGrid};
 use cv_synth::ckpt::{CkptError, Dec, Enc};
 use cv_synth::CachedEvaluator;
-use cv_synth::{eval_and_track, eval_and_track_from, BestTracker, SearchOutcome};
+use cv_synth::{eval_and_track, BestTracker, SearchOutcome};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -138,10 +138,7 @@ impl<R: Rng> SearchDriver for SaDriver<R> {
                 // this move improve on the best" keeps its strict-<
                 // meaning.
                 let best_before = self.tracker.best_cost();
-                // `current` is the design the candidate was mutated
-                // from, so the evaluator's incremental session can patch
-                // its resident netlist instead of re-synthesizing.
-                let cand_cost = eval_and_track_from(evaluator, &mut self.tracker, &current, &cand);
+                let cand_cost = eval_and_track(evaluator, &mut self.tracker, &cand);
                 // Short-circuit preserved: the acceptance draw only
                 // advances the RNG when the move is not an improvement.
                 let accept = cand_cost < current_cost

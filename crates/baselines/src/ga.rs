@@ -11,9 +11,8 @@ use cv_prefix::{mutate, topologies, PrefixGrid};
 use cv_synth::ckpt::{CkptError, Dec, Enc};
 use cv_synth::CachedEvaluator;
 use cv_synth::{
-    crowding_distance, eval_and_track, eval_and_track_from, eval_record_and_track,
-    eval_record_and_track_from, non_dominated_sort, BestTracker, ParetoArchive, PpaReport,
-    SearchOutcome,
+    crowding_distance, eval_and_track, eval_record_and_track, non_dominated_sort, BestTracker,
+    PpaReport, SearchOutcome,
 };
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -115,29 +114,6 @@ impl GeneticAlgorithm {
             rng,
         )
         .run_to_completion(evaluator)
-    }
-
-    /// [`GeneticAlgorithm::run`] with a fresh logging [`ParetoArchive`]
-    /// captured for the duration of the run.
-    #[deprecated(note = "archive observation lives in the driver loop now; use \
-                circuitvae::driver::run_archived with a GaDriver")]
-    pub fn run_archived<R: Rng + ?Sized>(
-        &self,
-        evaluator: &CachedEvaluator,
-        budget: usize,
-        max_generations: usize,
-        keep_evaluated: bool,
-        rng: &mut R,
-    ) -> (SearchOutcome, ParetoArchive) {
-        let mut driver = GaDriver::with_rng(
-            self.width,
-            self.config,
-            budget,
-            max_generations,
-            keep_evaluated,
-            rng,
-        );
-        circuitvae::driver::run_archived(&mut driver, evaluator)
     }
 }
 
@@ -570,32 +546,14 @@ impl<R: Rng> SearchDriver for GaDriver<R> {
                 mut acc,
             } => {
                 if next < children.len() && self.used < self.budget {
-                    // Children of one generation are structurally close
-                    // to each other (shared elite ancestry), so chaining
-                    // each evaluation off its predecessor keeps the
-                    // evaluator's incremental session patching small
-                    // diffs instead of rebuilding.
                     let g = &children[next];
-                    let prev = if next == 0 {
-                        None
-                    } else {
-                        Some(&children[next - 1])
-                    };
                     match &mut acc {
                         Scored::Weighted(v) => {
-                            let c = match prev {
-                                Some(p) => eval_and_track_from(evaluator, &mut self.tracker, p, g),
-                                None => eval_and_track(evaluator, &mut self.tracker, g),
-                            };
+                            let c = eval_and_track(evaluator, &mut self.tracker, g);
                             v.push((g.clone(), c));
                         }
                         Scored::Multi(v) => {
-                            let rec = match prev {
-                                Some(p) => {
-                                    eval_record_and_track_from(evaluator, &mut self.tracker, p, g)
-                                }
-                                None => eval_record_and_track(evaluator, &mut self.tracker, g),
-                            };
+                            let rec = eval_record_and_track(evaluator, &mut self.tracker, g);
                             v.push((g.clone(), rec.ppa));
                         }
                     }
@@ -820,24 +778,6 @@ mod tests {
             }
         }
         assert!(ev.archive().is_none(), "capture must detach on exit");
-    }
-
-    #[test]
-    fn deprecated_run_archived_wrapper_matches_the_driver_path() {
-        let cfg = GaConfig {
-            population: 12,
-            ..GaConfig::nsga2()
-        };
-        let ev = evaluator(10);
-        let mut rng = StdRng::seed_from_u64(6);
-        #[allow(deprecated)]
-        let (out_a, arch_a) =
-            GeneticAlgorithm::new(10, cfg).run_archived(&ev, 80, 10, false, &mut rng);
-        let ev = evaluator(10);
-        let mut driver = GaDriver::new(10, cfg, 80, 10, false, 6);
-        let (out_b, arch_b) = run_archived(&mut driver, &ev);
-        assert_eq!(out_a.to_ckpt_bytes(), out_b.to_ckpt_bytes());
-        assert_eq!(arch_a.to_ckpt_bytes(), arch_b.to_ckpt_bytes());
     }
 
     #[test]

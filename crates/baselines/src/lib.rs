@@ -38,7 +38,7 @@ mod rl;
 
 pub use annealing::{SaConfig, SaDriver, SimulatedAnnealing};
 pub use circuitvae::driver::{run_archived, Checkpointable, SearchDriver, StepStatus};
-pub use cv_synth::{eval_and_track, eval_and_track_from, BestTracker, SearchOutcome};
+pub use cv_synth::{eval_and_track, BestTracker, SearchOutcome};
 pub use ga::{ga_initial_dataset, GaConfig, GaDriver, GaMode, GeneticAlgorithm};
 pub use random_search::{random_search, RandomSearchDriver};
 pub use rl::{PrefixRlLite, RlConfig, RlDriver};

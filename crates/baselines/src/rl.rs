@@ -19,7 +19,7 @@ use cv_nn::{AdamConfig, Graph, Mlp, ParamStore, Tensor};
 use cv_prefix::{bitvec, mutate, topologies, PrefixGrid};
 use cv_synth::ckpt::{CkptError, Dec, Enc};
 use cv_synth::CachedEvaluator;
-use cv_synth::{eval_and_track, eval_and_track_from, BestTracker, SearchOutcome};
+use cv_synth::{eval_and_track, BestTracker, SearchOutcome};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -342,9 +342,7 @@ impl<R: Rng> SearchDriver for RlDriver<R> {
                     let mut next = grid.clone();
                     let _ = next.toggle(i, j);
                     next.legalize();
-                    // A single-cell toggle of `grid`: the canonical case
-                    // for the evaluator's incremental patch path.
-                    let next_cost = eval_and_track_from(evaluator, &mut self.tracker, &grid, &next);
+                    let next_cost = eval_and_track(evaluator, &mut self.tracker, &next);
                     let reward = (cost - next_cost) as f32;
                     let terminal = self.ep_step + 1 == cfg.episode_len;
                     let t = Transition {

@@ -7,8 +7,8 @@
 //! * every fast-kernel result is bit-for-bit equal to its naive
 //!   reference (checked in smoke mode too);
 //! * the width-32 training step must be ≥3× faster on the compute core;
-//! * on AVX2 hosts the strict-mode SIMD GEMM headline must be ≥2× over
-//!   the scalar tier (loudly skipped elsewhere, never silently).
+//! * on AVX2 hosts the SIMD GEMM headline must be ≥2× over the scalar
+//!   tier (loudly skipped elsewhere, never silently).
 //!
 //! All measurements are folded into `results/bench_perf.json` through
 //! `cv_bench::perf` (schema-checked by the `perf_schema` binary), so CI
@@ -21,7 +21,7 @@ use cv_bench::perf::{
     SimdShapePerf,
 };
 use cv_cells::nangate45_like;
-use cv_nn::gemm::{KernelMode, SimdLevel};
+use cv_nn::gemm::SimdLevel;
 use cv_nn::{gemm, ParamStore};
 use cv_pool::WorkerPool;
 use cv_prefix::{mutate, topologies, CircuitKind, GridMetrics, PrefixGrid};
@@ -356,11 +356,11 @@ const SIMD_SHAPES: [(&str, usize, usize, usize); 4] = [
     ("nn", 12, 54, 256),
 ];
 
-/// Strict-mode A/B of one GEMM shape at `level` vs the scalar tier,
-/// through the race-free per-level entry points (`gemm_*_at` — no
-/// global toggles, no pool). Uses the order-alternated
-/// median-pair-ratio protocol of the PR 5/6 gates, and asserts the
-/// Contract 12 strict guarantee (bit-identical to scalar) in-run.
+/// A/B of one GEMM shape at `level` vs the scalar tier, through the
+/// race-free per-level entry points (`gemm_*_at` — no global toggles, no
+/// pool). Uses the order-alternated median-pair-ratio protocol of the
+/// training-step gate, and asserts the Contract 12 guarantee
+/// (bit-identical to scalar) in-run.
 fn simd_shape_ab(level: SimdLevel, op: &str, m: usize, k: usize, n: usize) -> SimdShapePerf {
     // Same seeds as `gemm_ab`, so the level curves measure the exact
     // operand bits of the main A/B section.
@@ -371,9 +371,9 @@ fn simd_shape_ab(level: SimdLevel, op: &str, m: usize, k: usize, n: usize) -> Si
         other => panic!("unknown op {other}"),
     };
     let run = |lvl: SimdLevel, out: &mut [f32]| match op {
-        "nn" => gemm::gemm_nn_at(lvl, KernelMode::Strict, out, &x, &y, m, k, n),
-        "nt" => gemm::gemm_nt_at(lvl, KernelMode::Strict, out, &x, &y, m, n, k),
-        "tn" => gemm::gemm_tn_at(lvl, KernelMode::Strict, out, &x, &y, m, k, n),
+        "nn" => gemm::gemm_nn_at(lvl, out, &x, &y, m, k, n),
+        "nt" => gemm::gemm_nt_at(lvl, out, &x, &y, m, n, k),
+        "tn" => gemm::gemm_tn_at(lvl, out, &x, &y, m, k, n),
         _ => unreachable!(),
     };
     let mut at_level = vec![0.0f32; out_len];
@@ -385,7 +385,7 @@ fn simd_shape_ab(level: SimdLevel, op: &str, m: usize, k: usize, n: usize) -> Si
             .iter()
             .zip(&at_scalar)
             .all(|(a, b)| a.to_bits() == b.to_bits()),
-        "strict {op} diverged from scalar at level {}",
+        "{op} diverged from scalar at level {}",
         level.name()
     );
     let iters = if smoke() { 1 } else { 4 };
@@ -428,12 +428,12 @@ fn simd_shape_ab(level: SimdLevel, op: &str, m: usize, k: usize, n: usize) -> Si
     }
 }
 
-/// Strict-mode training-step A/B at `level` vs the scalar tier on the
-/// public dispatch path (the per-level GEMM entries cover the raw
-/// kernels; this covers a whole width-32 step through graph wiring and
-/// conv). Toggling `set_simd_level` is bit-harmless here: every strict
-/// tier produces identical bits, which the assert below re-proves per
-/// level. Returns (ms per step, median per-pair speedup vs scalar).
+/// Training-step A/B at `level` vs the scalar tier on the public
+/// dispatch path (the per-level GEMM entries cover the raw kernels; this
+/// covers a whole width-32 step through graph wiring and conv). Toggling
+/// `set_simd_level` is bit-harmless here: every tier produces identical
+/// bits, which the assert below re-proves per level. Returns (ms per
+/// step, median per-pair speedup vs scalar).
 fn simd_training_ab(level: SimdLevel) -> (f64, f64) {
     let entry = gemm::simd_level();
     let steps = if smoke() { 1 } else { 6 };
@@ -489,9 +489,9 @@ fn simd_training_ab(level: SimdLevel) -> (f64, f64) {
     )
 }
 
-/// Measures the full `simd_scaling` section: one strict-mode curve per
-/// SIMD level this host supports (unsupported tiers are skipped with a
-/// printed label, never silently), headline recomputed from the tables.
+/// Measures the full `simd_scaling` section: one curve per SIMD level
+/// this host supports (unsupported tiers are skipped with a printed
+/// label, never silently), headline recomputed from the tables.
 fn build_simd_scaling() -> SimdScaling {
     let mut levels = Vec::new();
     for level in SimdLevel::ALL {
@@ -542,10 +542,10 @@ fn build_simd_scaling() -> SimdScaling {
     scaling
 }
 
-/// The `simd_scaling` section plus its tentpole gate: the strict-mode
-/// GEMM headline over scalar must be ≥2x when this host detects AVX2
-/// (outside smoke mode); on narrower hosts the gate is skipped with a
-/// loud label. The heavy protocol runs once per process.
+/// The `simd_scaling` section plus its tentpole gate: the GEMM headline
+/// over scalar must be ≥2x when this host detects AVX2 (outside smoke
+/// mode); on narrower hosts the gate is skipped with a loud label. The
+/// heavy protocol runs once per process.
 fn bench_simd_scaling(c: &mut Criterion) {
     static SCALING: OnceLock<SimdScaling> = OnceLock::new();
     let mut group = c.benchmark_group("simd_scaling");
@@ -563,7 +563,7 @@ fn bench_simd_scaling(c: &mut Criterion) {
                     let speedup = scaling.headline.as_ref().map_or(0.0, |h| h.speedup);
                     assert!(
                         speedup >= 2.0,
-                        "strict SIMD GEMM headline must be >=2x over scalar on AVX2, got {speedup:.2}x"
+                        "SIMD GEMM headline must be >=2x over scalar on AVX2, got {speedup:.2}x"
                     );
                 }
             } else {
@@ -578,12 +578,9 @@ fn bench_simd_scaling(c: &mut Criterion) {
 }
 
 /// The training-step scaling curve: gradient-accumulation chunk counts
-/// 1/2/4/8/16 on the global pool. No per-chunk instrumentation exists
-/// inside a training step, so these points are wall-clock only
-/// (`modeled_ms: None`) — on a core-starved machine they honestly show
-/// ~1x. Chunking changes float merge order, so equality across thread
-/// counts is approximate (loss drift bounded), unlike the batch curve's
-/// bit-identity.
+/// 1/2/4/8/16 on the global pool, wall clock only — on a core-starved
+/// machine it honestly shows ~1x. Chunking changes float merge order, so
+/// equality across thread counts is approximate (loss drift bounded).
 fn training_scaling_curve() -> ScalingCurve {
     let steps = if smoke() { 1 } else { 6 };
     let mut points = Vec::new();
@@ -602,7 +599,6 @@ fn training_scaling_curve() -> ScalingCurve {
             threads: t,
             workers: WorkerPool::global().threads().min(t),
             wall_ms: ms,
-            modeled_ms: None,
         });
     }
     ScalingCurve {
@@ -654,10 +650,7 @@ fn bench_incremental_point(c: &mut Criterion) {
             let full_s = t.elapsed().as_secs_f64();
             let t = Instant::now();
             let mut session = EvalSession::new(flow.clone(), CostParams::new(0.66));
-            let mut delta = vec![session.evaluate(&chain[0]).ppa];
-            for w in chain.windows(2) {
-                delta.push(session.evaluate_delta(&w[0], &w[1]).ppa);
-            }
+            let delta: Vec<_> = chain.iter().map(|g| session.evaluate(g).ppa).collect();
             let delta_s = t.elapsed().as_secs_f64();
             assert_eq!(full, delta, "delta path diverged");
             let speedup = full_s / delta_s.max(1e-12);

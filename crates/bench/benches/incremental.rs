@@ -42,11 +42,7 @@ fn run_full(flow: &SynthesisFlow, chain: &[PrefixGrid]) -> Vec<cv_synth::PpaRepo
 
 fn run_delta(flow: &SynthesisFlow, chain: &[PrefixGrid]) -> Vec<cv_synth::PpaReport> {
     let mut session = EvalSession::new(flow.clone(), CostParams::new(0.66));
-    let mut out = vec![session.evaluate(&chain[0]).ppa];
-    for w in chain.windows(2) {
-        out.push(session.evaluate_delta(&w[0], &w[1]).ppa);
-    }
-    out
+    chain.iter().map(|g| session.evaluate(g).ppa).collect()
 }
 
 fn bench_mutation_chain(c: &mut Criterion) {

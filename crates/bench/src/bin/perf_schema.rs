@@ -2,33 +2,27 @@
 //! schema, optionally gating on what the report *claims*. CI runs this
 //! right after the `gemm` bench so a malformed or missing report fails
 //! the job instead of silently uploading garbage, and again with gates
-//! so a report that quietly lost its parallelism (wrong pool size, no
-//! batch speedup) fails too.
+//! so a report that quietly lost its pool size or SIMD speedup fails
+//! too.
 //!
 //! Usage:
 //!
 //! ```text
 //! perf_schema [path]
 //!     [--expect-pool-threads N]
-//!     [--min-batch-speedup X --at-threads T]
 //!     [--min-simd-speedup X]
 //! ```
 //!
 //! `path` defaults to `results/bench_perf.json`.
 //! `--expect-pool-threads` asserts the report's `pool_threads` field.
-//! `--min-batch-speedup X --at-threads T` asserts the `evaluate_batch`
-//! scaling curve has a point at exactly `T` threads whose headline
-//! speedup is at least `X` (wall or modeled per the point's recorded
-//! basis).
-//! `--min-simd-speedup X` asserts the strict-mode SIMD headline
+//! `--min-simd-speedup X` asserts the SIMD headline
 //! (`simd_scaling.headline.speedup`, already cross-checked against the
 //! per-level tables by the validator) is at least `X` — but only when
 //! the report's `cpu_features` lists `avx2`; on other hosts the gate is
 //! skipped with an explicit label and exit 0, never silently.
 
 use cv_bench::perf::{
-    parse_json, report_has_cpu_feature, scaling_speedup_at, simd_headline_speedup, validate_report,
-    Json,
+    parse_json, report_has_cpu_feature, simd_headline_speedup, validate_report, Json,
 };
 
 fn fail(msg: &str) -> ! {
@@ -39,8 +33,6 @@ fn fail(msg: &str) -> ! {
 fn main() {
     let mut path = "results/bench_perf.json".to_string();
     let mut expect_pool: Option<usize> = None;
-    let mut min_speedup: Option<f64> = None;
-    let mut at_threads: Option<usize> = None;
     let mut min_simd: Option<f64> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -54,20 +46,6 @@ fn main() {
                     fail(&format!("--expect-pool-threads: invalid count: {e}"))
                 }));
             }
-            "--min-batch-speedup" => {
-                min_speedup = Some(
-                    value("--min-batch-speedup")
-                        .parse()
-                        .unwrap_or_else(|e| fail(&format!("--min-batch-speedup: invalid: {e}"))),
-                );
-            }
-            "--at-threads" => {
-                at_threads = Some(
-                    value("--at-threads")
-                        .parse()
-                        .unwrap_or_else(|e| fail(&format!("--at-threads: invalid count: {e}"))),
-                );
-            }
             "--min-simd-speedup" => {
                 min_simd = Some(
                     value("--min-simd-speedup")
@@ -78,9 +56,6 @@ fn main() {
             flag if flag.starts_with("--") => fail(&format!("unknown flag {flag}")),
             p => path = p.to_string(),
         }
-    }
-    if min_speedup.is_some() != at_threads.is_some() {
-        fail("--min-batch-speedup and --at-threads must be passed together");
     }
 
     let text = std::fs::read_to_string(&path)
@@ -98,34 +73,21 @@ fn main() {
             )),
         }
     }
-    if let (Some(min), Some(threads)) = (min_speedup, at_threads) {
-        match scaling_speedup_at(&doc, "evaluate_batch", threads) {
-            Some(s) if s >= min => {
-                println!("perf_schema: evaluate_batch speedup at {threads} threads: {s:.2}x >= {min:.2}x");
-            }
-            Some(s) => fail(&format!(
-                "{path}: evaluate_batch speedup at {threads} threads is {s:.2}x, required >= {min:.2}x"
-            )),
-            None => fail(&format!(
-                "{path}: no evaluate_batch scaling point at {threads} threads"
-            )),
-        }
-    }
     if let Some(min) = min_simd {
         if !report_has_cpu_feature(&doc, "avx2") {
             // Loud, labeled, exit 0: the gate quantifies the AVX2 tier,
             // which this host cannot measure. Never a silent pass.
             println!(
                 "perf_schema: SKIPPED --min-simd-speedup {min:.2} — report's cpu_features \
-                 has no avx2 (the strict SIMD headline gate only applies to AVX2 hosts)"
+                 has no avx2 (the SIMD headline gate only applies to AVX2 hosts)"
             );
         } else {
             match simd_headline_speedup(&doc) {
                 Some(s) if s >= min => {
-                    println!("perf_schema: strict SIMD headline speedup {s:.2}x >= {min:.2}x");
+                    println!("perf_schema: SIMD headline speedup {s:.2}x >= {min:.2}x");
                 }
                 Some(s) => fail(&format!(
-                    "{path}: strict SIMD headline speedup is {s:.2}x, required >= {min:.2}x"
+                    "{path}: SIMD headline speedup is {s:.2}x, required >= {min:.2}x"
                 )),
                 None => fail(&format!(
                     "{path}: cpu_features reports avx2 but the report carries no \

@@ -1,42 +1,34 @@
 //! Machine-readable performance reporting for the compute-core benches.
 //!
-//! `benches/gemm.rs` measures the GEMM kernels, the width-32 VAE
-//! training step, and batched evaluation, then emits
-//! `results/bench_perf.json` through [`PerfReport`] so CI can archive a
-//! perf trajectory instead of scraping bench stdout. The schema is
-//! validated by [`validate_report`] (also exposed as the `perf_schema`
-//! binary), backed by a minimal dependency-free JSON parser — the
-//! vendored `serde` is a marker facade, so the wire format is explicit
-//! here just like the checkpoint codec.
+//! `benches/gemm.rs` measures the GEMM kernels and the width-32 VAE
+//! training step — against the naive reference kernels, across pool
+//! sizes, and per SIMD level — then emits `results/bench_perf.json`
+//! through [`PerfReport`] so CI can archive a perf trajectory instead of
+//! scraping bench stdout. The schema is validated by [`validate_report`]
+//! (also exposed as the `perf_schema` binary), backed by a minimal
+//! dependency-free JSON parser — the vendored `serde` is a marker
+//! facade, so the wire format is explicit here just like the checkpoint
+//! codec. `campaignd`'s wire protocol reads requests through the same
+//! parser, which therefore bounds nesting depth ([`MAX_DEPTH`]).
 
 use std::fmt::Write as _;
 
 /// Schema identifier stamped into every report.
 ///
-/// v2 makes thread accounting honest and adds the thread-scaling plane:
-/// every timed section records the *effective* parallelism its timed
-/// region used (`threads`), the report records the machine's
-/// `cpu_cores`, and a `scaling` section carries 1/2/4/8/16 curves for
-/// `evaluate_batch` and the training step. Each scaling point is
-/// labeled with its measurement `basis`: `"wall"` when the machine had
-/// enough cores for the wall clock to mean parallel speedup, or
-/// `"modeled"` (zero-contention critical-path makespan computed from
-/// individually measured per-design simulation times) when it did not —
-/// so a report produced on a 1-core container can never pass off
-/// timeshared wall clock, or quietly claim pool parallelism it didn't
-/// have.
-///
-/// v3 extends the same honesty to SIMD dispatch (DESIGN.md Contract 12):
-/// the report records the CPU features the machine actually exposes
+/// Every number is read against the machine that produced it: the report
+/// records the machine's `cpu_cores`, the CPU features it exposes
 /// (`cpu_features`) and the SIMD level the kernels actually ran at
 /// (`simd_level`, top-level and per timed section — the level *used*,
-/// never the one requested), plus a `simd_scaling` section with
-/// per-level strict-mode GEMM/training curves and a recomputable
-/// headline (max per-shape strict speedup over scalar at the best
+/// never the one requested), and every timed section records the
+/// *effective* parallelism of its timed region (`threads`). A `scaling`
+/// section carries the training step's wall-clock 1/2/4/8/16-thread
+/// curve, and `simd_scaling` the per-level GEMM/training curves with a
+/// recomputable headline (max per-shape speedup over scalar at the best
 /// level). On AVX2 hardware the headline is gated ≥2x by
 /// `perf_schema --min-simd-speedup`; hosts without AVX2 skip that gate
-/// with an explicit label, never silently.
-pub const PERF_SCHEMA: &str = "cv-bench-perf-v3";
+/// with an explicit label, never silently. Unknown keys are rejected,
+/// so a report of an older schema cannot pass for this one.
+pub const PERF_SCHEMA: &str = "cv-bench-perf-v4";
 
 /// One GEMM kernel measurement (naive reference vs. compute core).
 #[derive(Debug, Clone)]
@@ -56,8 +48,8 @@ pub struct GemmPerf {
     /// Worker-pool threads the fast kernel's timed region dispatched on.
     pub threads: usize,
     /// SIMD level the fast kernel's timed region actually dispatched at
-    /// (`"scalar"`, `"sse2"`, or `"avx2"` — `cv_nn::gemm::simd_level()`
-    /// at measurement time, never the requested level).
+    /// (`"scalar"` or `"avx2"` — `cv_nn::gemm::simd_level()` at
+    /// measurement time, never the requested level).
     pub simd_level: &'static str,
 }
 
@@ -113,36 +105,16 @@ impl AbPerf {
 /// One point of a thread-scaling curve.
 #[derive(Debug, Clone, Copy)]
 pub struct ScalePoint {
-    /// Requested thread count (the chunking the batch was split into).
+    /// Requested thread count (the chunking the work was split into).
     pub threads: usize,
     /// Workers that actually executed the timed region (pool size; 1
     /// when the dispatch ran inline).
     pub workers: usize,
     /// Measured wall-clock milliseconds.
     pub wall_ms: f64,
-    /// Zero-contention critical-path makespan, milliseconds: the max
-    /// over workers of their summed per-design simulation times (each
-    /// measured individually on the sequential path) plus the measured
-    /// sequential residue. `None` for sections without per-item
-    /// instrumentation.
-    pub modeled_ms: Option<f64>,
 }
 
 impl ScalePoint {
-    /// `(speedup, basis)` relative to `baseline_ms`: the wall-clock
-    /// ratio (basis `"wall"`) when the machine's cores cover the
-    /// requested threads — timesharing can then only *understate* the
-    /// speedup — or the modeled-makespan ratio (basis `"modeled"`) when
-    /// they do not and a model is available. A core-starved point
-    /// without a model stays honest: wall basis, speedup ≈ 1.
-    pub fn headline(&self, baseline_ms: f64, cpu_cores: usize) -> (f64, &'static str) {
-        let ratio = |ms: f64| if ms <= 0.0 { 1.0 } else { baseline_ms / ms };
-        match self.modeled_ms {
-            Some(modeled) if cpu_cores < self.threads => (ratio(modeled), "modeled"),
-            _ => (ratio(self.wall_ms), "wall"),
-        }
-    }
-
     /// Measured wall-clock speedup relative to `baseline_ms`.
     pub fn wall_speedup(&self, baseline_ms: f64) -> f64 {
         if self.wall_ms <= 0.0 {
@@ -153,7 +125,7 @@ impl ScalePoint {
     }
 }
 
-/// A thread-scaling curve for one end-to-end section.
+/// A wall-clock thread-scaling curve for one end-to-end section.
 #[derive(Debug, Clone, Default)]
 pub struct ScalingCurve {
     /// Problem size tag (circuit width).
@@ -165,8 +137,8 @@ pub struct ScalingCurve {
     pub points: Vec<ScalePoint>,
 }
 
-/// One strict-mode GEMM shape measured at one SIMD level (single
-/// thread, order-alternated against the scalar tier of the same shape).
+/// One GEMM shape measured at one SIMD level (single thread,
+/// order-alternated against the scalar tier of the same shape).
 #[derive(Debug, Clone)]
 pub struct SimdShapePerf {
     /// Kernel variant: `"nn"`, `"nt"`, or `"tn"`.
@@ -195,10 +167,10 @@ impl SimdShapePerf {
     }
 }
 
-/// All strict-mode measurements for one SIMD level.
+/// All measurements for one SIMD level.
 #[derive(Debug, Clone)]
 pub struct SimdLevelPerf {
-    /// The level (`"scalar"`, `"sse2"`, `"avx2"`).
+    /// The level (`"scalar"` or `"avx2"`).
     pub level: String,
     /// Per-shape GEMM measurements.
     pub gemm: Vec<SimdShapePerf>,
@@ -209,8 +181,8 @@ pub struct SimdLevelPerf {
 }
 
 /// The headline claim of the `simd_scaling` section: the single best
-/// per-shape strict GEMM speedup over scalar across all measured
-/// non-scalar levels (recomputed by the validator, gated by
+/// per-shape GEMM speedup over scalar across all measured non-scalar
+/// levels (recomputed by the validator, gated by
 /// `perf_schema --min-simd-speedup` on AVX2 hosts).
 #[derive(Debug, Clone)]
 pub struct SimdHeadline {
@@ -228,13 +200,13 @@ pub struct SimdHeadline {
     pub speedup: f64,
 }
 
-/// The strict-mode SIMD scaling section of a v3 report.
+/// The SIMD scaling section of a report.
 #[derive(Debug, Clone)]
 pub struct SimdScaling {
     /// Per-level curves, ascending in capability; always includes the
     /// `"scalar"` baseline row.
     pub levels: Vec<SimdLevelPerf>,
-    /// The best per-shape strict speedup (see [`SimdHeadline`]); `None`
+    /// The best per-shape speedup (see [`SimdHeadline`]); `None`
     /// only when scalar was the only measurable level.
     pub headline: Option<SimdHeadline>,
 }
@@ -287,14 +259,9 @@ pub struct PerfReport {
     pub gemm: Vec<GemmPerf>,
     /// Width-32 VAE training-step A/B.
     pub training_step: Option<AbPerf>,
-    /// Retired `evaluate_batch` A/B: the batch path is gone, so this
-    /// always serializes as `null`.
-    pub evaluate_batch: Option<AbPerf>,
-    /// Retired `evaluate_batch` scaling curve (always `null`).
-    pub batch_scaling: Option<ScalingCurve>,
     /// Training-step thread-scaling curve (1/2/4/8/16).
     pub training_scaling: Option<ScalingCurve>,
-    /// Strict-mode SIMD level scaling (scalar/sse2/avx2 curves).
+    /// SIMD level scaling (scalar/avx2 curves).
     pub simd_scaling: Option<SimdScaling>,
     /// Incremental-evaluation speedup (the `incremental` bench's gate
     /// quantity), when measured.
@@ -351,75 +318,45 @@ impl PerfReport {
             s.push_str(if i + 1 < self.gemm.len() { ",\n" } else { "\n" });
         }
         s.push_str("  ],\n");
-        for (key, ab) in [
-            ("training_step", &self.training_step),
-            ("evaluate_batch", &self.evaluate_batch),
-        ] {
-            match ab {
-                Some(ab) => {
+        match &self.training_step {
+            Some(ab) => {
+                let _ = write!(
+                    s,
+                    "  \"training_step\": {{\"width\": {}, \"threads\": {}, \"simd_level\": \"{}\", \"naive_ms\": ",
+                    ab.width, ab.threads, ab.simd_level
+                );
+                push_num(&mut s, ab.naive_ms);
+                s.push_str(", \"fast_ms\": ");
+                push_num(&mut s, ab.fast_ms);
+                s.push_str(", \"speedup\": ");
+                push_num(&mut s, ab.speedup());
+                s.push_str("},\n");
+            }
+            None => s.push_str("  \"training_step\": null,\n"),
+        }
+        s.push_str("  \"scaling\": {\"training_step\": ");
+        match &self.training_scaling {
+            Some(c) => {
+                let _ = write!(s, "{{\"width\": {}, \"baseline_ms\": ", c.width);
+                push_num(&mut s, c.baseline_ms);
+                s.push_str(", \"points\": [\n");
+                for (j, p) in c.points.iter().enumerate() {
                     let _ = write!(
                         s,
-                        "  \"{key}\": {{\"width\": {}, \"threads\": {}, \"simd_level\": \"{}\", \"naive_ms\": ",
-                        ab.width, ab.threads, ab.simd_level
+                        "    {{\"threads\": {}, \"workers\": {}, \"wall_ms\": ",
+                        p.threads, p.workers
                     );
-                    push_num(&mut s, ab.naive_ms);
-                    s.push_str(", \"fast_ms\": ");
-                    push_num(&mut s, ab.fast_ms);
-                    s.push_str(", \"speedup\": ");
-                    push_num(&mut s, ab.speedup());
-                    s.push_str("},\n");
+                    push_num(&mut s, p.wall_ms);
+                    s.push_str(", \"wall_speedup\": ");
+                    push_num(&mut s, p.wall_speedup(c.baseline_ms));
+                    s.push('}');
+                    s.push_str(if j + 1 < c.points.len() { ",\n" } else { "\n" });
                 }
-                None => {
-                    let _ = writeln!(s, "  \"{key}\": null,");
-                }
+                s.push_str("  ]}");
             }
+            None => s.push_str("null"),
         }
-        s.push_str("  \"scaling\": {\n");
-        for (i, (key, curve)) in [
-            ("evaluate_batch", &self.batch_scaling),
-            ("training_step", &self.training_scaling),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            let sep = if i == 0 { ",\n" } else { "\n" };
-            match curve {
-                Some(c) => {
-                    let _ = write!(
-                        s,
-                        "    \"{key}\": {{\"width\": {}, \"baseline_ms\": ",
-                        c.width
-                    );
-                    push_num(&mut s, c.baseline_ms);
-                    s.push_str(", \"points\": [\n");
-                    for (j, p) in c.points.iter().enumerate() {
-                        let (speedup, basis) = p.headline(c.baseline_ms, self.cpu_cores);
-                        let _ = write!(
-                            s,
-                            "      {{\"threads\": {}, \"workers\": {}, \"wall_ms\": ",
-                            p.threads, p.workers
-                        );
-                        push_num(&mut s, p.wall_ms);
-                        s.push_str(", \"wall_speedup\": ");
-                        push_num(&mut s, p.wall_speedup(c.baseline_ms));
-                        s.push_str(", \"modeled_ms\": ");
-                        match p.modeled_ms {
-                            Some(m) => push_num(&mut s, m),
-                            None => s.push_str("null"),
-                        }
-                        s.push_str(", \"speedup\": ");
-                        push_num(&mut s, speedup);
-                        let _ = write!(s, ", \"basis\": \"{basis}\"}}");
-                        s.push_str(if j + 1 < c.points.len() { ",\n" } else { "\n" });
-                    }
-                    let _ = write!(s, "    ]}}{sep}");
-                }
-                None => {
-                    let _ = write!(s, "    \"{key}\": null{sep}");
-                }
-            }
-        }
-        s.push_str("  },\n");
+        s.push_str("},\n");
         s.push_str("  \"simd_scaling\": ");
         match &self.simd_scaling {
             Some(sc) => {
@@ -521,10 +458,19 @@ impl Json {
     }
 }
 
+/// The deepest array/object nesting [`parse_json`] accepts. Wire
+/// requests nest two levels and `bench_perf.json` about five; the bound
+/// keeps the recursive parser's stack use constant, so a hostile line
+/// of brackets gets an error instead of overflowing a connection
+/// thread's stack.
+pub const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -609,53 +555,67 @@ impl<'a> Parser<'a> {
             b't' => self.literal("true", Json::Bool(true)),
             b'f' => self.literal("false", Json::Bool(false)),
             b'"' => Ok(Json::Str(self.string()?)),
-            b'[' => {
-                self.eat(b'[')?;
-                let mut items = Vec::new();
-                if self.peek()? == b']' {
+            open @ (b'[' | b'{') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
+            _ => self.number(),
+        }
+    }
+
+    fn array(&mut self) -> Result<Json, String> {
+        self.eat(b'[')?;
+        let mut items = Vec::new();
+        if self.peek()? == b']' {
+            self.pos += 1;
+            return Ok(Json::Arr(items));
+        }
+        loop {
+            items.push(self.value()?);
+            match self.peek()? {
+                b',' => self.pos += 1,
+                b']' => {
                     self.pos += 1;
                     return Ok(Json::Arr(items));
                 }
-                loop {
-                    items.push(self.value()?);
-                    match self.peek()? {
-                        b',' => self.pos += 1,
-                        b']' => {
-                            self.pos += 1;
-                            return Ok(Json::Arr(items));
-                        }
-                        other => {
-                            return Err(format!("expected ',' or ']', got '{}'", other as char))
-                        }
-                    }
-                }
+                other => return Err(format!("expected ',' or ']', got '{}'", other as char)),
             }
-            b'{' => {
-                self.eat(b'{')?;
-                let mut members = Vec::new();
-                if self.peek()? == b'}' {
+        }
+    }
+
+    fn object(&mut self) -> Result<Json, String> {
+        self.eat(b'{')?;
+        let mut members = Vec::new();
+        if self.peek()? == b'}' {
+            self.pos += 1;
+            return Ok(Json::Obj(members));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.eat(b':')?;
+            let val = self.value()?;
+            members.push((key, val));
+            match self.peek()? {
+                b',' => self.pos += 1,
+                b'}' => {
                     self.pos += 1;
                     return Ok(Json::Obj(members));
                 }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    self.eat(b':')?;
-                    let val = self.value()?;
-                    members.push((key, val));
-                    match self.peek()? {
-                        b',' => self.pos += 1,
-                        b'}' => {
-                            self.pos += 1;
-                            return Ok(Json::Obj(members));
-                        }
-                        other => {
-                            return Err(format!("expected ',' or '}}', got '{}'", other as char))
-                        }
-                    }
-                }
+                other => return Err(format!("expected ',' or '}}', got '{}'", other as char)),
             }
-            _ => self.number(),
         }
     }
 
@@ -718,12 +678,14 @@ impl<'a> Parser<'a> {
 ///
 /// # Errors
 ///
-/// Returns a description of the first syntax error.
+/// Returns a description of the first syntax error, or of the first
+/// array/object nested deeper than [`MAX_DEPTH`].
 pub fn parse_json(text: &str) -> Result<Json, String> {
     let mut p = Parser {
         text,
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -740,8 +702,18 @@ fn require_num(obj: &Json, key: &str, ctx: &str) -> Result<f64, String> {
     }
 }
 
-/// The SIMD level names a v3 report may record.
-const SIMD_LEVELS: [&str; 3] = ["scalar", "sse2", "avx2"];
+/// The SIMD level names a report may record.
+const SIMD_LEVELS: [&str; 2] = ["scalar", "avx2"];
+
+/// Rejects any member of object `v` whose key is not in `allowed`.
+fn only_keys(v: &Json, allowed: &[&str], ctx: &str) -> Result<(), String> {
+    if let Json::Obj(members) = v {
+        if let Some((key, _)) = members.iter().find(|(k, _)| !allowed.contains(&k.as_str())) {
+            return Err(format!("{ctx}: unknown key \"{key}\""));
+        }
+    }
+    Ok(())
+}
 
 fn require_simd_level(obj: &Json, key: &str, ctx: &str) -> Result<String, String> {
     match obj.get(key) {
@@ -876,8 +848,7 @@ fn check_simd_scaling(v: &Json, has_avx2: bool) -> Result<(), String> {
     }
 }
 
-/// The strict-mode SIMD headline speedup an already-parsed v3 report
-/// claims (`simd_scaling.headline.speedup`), or `None` when the section
+/// The SIMD headline speedup an already-parsed report claims (`simd_scaling.headline.speedup`), or `None` when the section
 /// or headline is absent.
 pub fn simd_headline_speedup(doc: &Json) -> Option<f64> {
     match doc.get("simd_scaling")?.get("headline")?.get("speedup") {
@@ -910,57 +881,18 @@ fn check_curve(v: &Json, ctx: &str) -> Result<(), String> {
                     ))
                 }
             };
+            const POINT_KEYS: [&str; 4] = ["threads", "workers", "wall_ms", "wall_speedup"];
             for (i, p) in points.iter().enumerate() {
                 let pctx = format!("{ctx}.points[{i}]");
-                for key in ["threads", "workers", "wall_ms", "wall_speedup", "speedup"] {
+                for key in POINT_KEYS {
                     require_num(p, key, &pctx)?;
                 }
-                let modeled = match p.get("modeled_ms") {
-                    Some(Json::Null) => false,
-                    Some(Json::Num(_)) => true,
-                    other => {
-                        return Err(format!(
-                            "{pctx}.modeled_ms: expected number or null, got {other:?}"
-                        ))
-                    }
-                };
-                match p.get("basis") {
-                    Some(Json::Str(b)) if b == "wall" => {}
-                    Some(Json::Str(b)) if b == "modeled" => {
-                        if !modeled {
-                            return Err(format!(
-                                "{pctx}: basis \"modeled\" requires a modeled_ms number"
-                            ));
-                        }
-                    }
-                    other => {
-                        return Err(format!(
-                            "{pctx}.basis: expected \"wall\" or \"modeled\", got {other:?}"
-                        ))
-                    }
-                }
+                only_keys(p, &POINT_KEYS, &pctx)?;
             }
             Ok(())
         }
         other => Err(format!("{ctx}: expected object or null, got {other:?}")),
     }
-}
-
-/// The headline speedup the report claims for `section` (`"evaluate_batch"`
-/// or `"training_step"`) at exactly `threads` threads, from the `scaling`
-/// curves of an already-parsed report. `None` when the curve or point is
-/// absent.
-pub fn scaling_speedup_at(doc: &Json, section: &str, threads: usize) -> Option<f64> {
-    let curve = doc.get("scaling")?.get(section)?;
-    let Json::Arr(points) = curve.get("points")? else {
-        return None;
-    };
-    points
-        .iter()
-        .find_map(|p| match (p.get("threads"), p.get("speedup")) {
-            (Some(Json::Num(t)), Some(Json::Num(s))) if *t == threads as f64 => Some(*s),
-            _ => None,
-        })
 }
 
 /// Validates a `bench_perf.json` document against the
@@ -975,6 +907,22 @@ pub fn validate_report(text: &str) -> Result<(), String> {
         Some(Json::Str(s)) if s == PERF_SCHEMA => {}
         other => return Err(format!("schema: expected \"{PERF_SCHEMA}\", got {other:?}")),
     }
+    only_keys(
+        &doc,
+        &[
+            "schema",
+            "pool_threads",
+            "cpu_cores",
+            "simd_level",
+            "cpu_features",
+            "gemm",
+            "training_step",
+            "scaling",
+            "simd_scaling",
+            "incremental_speedup",
+        ],
+        "report",
+    )?;
     let threads = require_num(&doc, "pool_threads", "report")?;
     if threads < 1.0 {
         return Err("pool_threads: must be >= 1".to_string());
@@ -1028,16 +976,9 @@ pub fn validate_report(text: &str) -> Result<(), String> {
         doc.get("training_step").unwrap_or(&Json::Null),
         "training_step",
     )?;
-    check_ab(
-        doc.get("evaluate_batch").unwrap_or(&Json::Null),
-        "evaluate_batch",
-    )?;
     match doc.get("scaling") {
         Some(scaling @ Json::Obj(_)) => {
-            check_curve(
-                scaling.get("evaluate_batch").unwrap_or(&Json::Null),
-                "scaling.evaluate_batch",
-            )?;
+            only_keys(scaling, &["training_step"], "scaling")?;
             check_curve(
                 scaling.get("training_step").unwrap_or(&Json::Null),
                 "scaling.training_step",
@@ -1066,7 +1007,7 @@ mod tests {
             pool_threads: 4,
             cpu_cores: 2,
             simd_level: "avx2".into(),
-            cpu_features: vec!["sse2".into(), "avx".into(), "avx2".into(), "fma".into()],
+            cpu_features: vec!["sse2".into(), "avx".into(), "avx2".into()],
             gemm: vec![GemmPerf {
                 op: "nn".into(),
                 m: 64,
@@ -1084,8 +1025,7 @@ mod tests {
                 threads: 1,
                 simd_level: "avx2",
             }),
-            evaluate_batch: None,
-            batch_scaling: Some(ScalingCurve {
+            training_scaling: Some(ScalingCurve {
                 width: 32,
                 baseline_ms: 80.0,
                 points: vec![
@@ -1093,23 +1033,14 @@ mod tests {
                         threads: 1,
                         workers: 1,
                         wall_ms: 80.0,
-                        modeled_ms: Some(80.0),
                     },
                     ScalePoint {
                         threads: 2,
                         workers: 2,
-                        wall_ms: 41.0,
-                        modeled_ms: Some(40.0),
-                    },
-                    ScalePoint {
-                        threads: 4,
-                        workers: 4,
-                        wall_ms: 79.0,
-                        modeled_ms: Some(20.0),
+                        wall_ms: 40.0,
                     },
                 ],
             }),
-            training_scaling: None,
             simd_scaling: Some(SimdScaling {
                 levels: vec![
                     SimdLevelPerf {
@@ -1162,46 +1093,17 @@ mod tests {
         let ts = doc.get("training_step").unwrap();
         assert_eq!(ts.get("speedup"), Some(&Json::Num(5.0)));
         assert_eq!(ts.get("threads"), Some(&Json::Num(1.0)));
-        assert_eq!(doc.get("evaluate_batch"), Some(&Json::Null));
-        let scaling = doc.get("scaling").unwrap();
-        assert_eq!(scaling.get("training_step"), Some(&Json::Null));
-        assert!(scaling
-            .get("evaluate_batch")
-            .unwrap()
-            .get("points")
-            .is_some());
-    }
-
-    #[test]
-    fn scaling_basis_switches_to_model_only_when_core_starved() {
-        // cpu_cores = 2: the t=1 and t=2 points have enough cores, so
-        // their headline is the measured wall clock; t=4 does not, so its
-        // headline is the zero-contention makespan, clearly labeled.
-        let json = sample().to_json();
-        let doc = parse_json(&json).unwrap();
-        let points = match doc
+        let points = doc
             .get("scaling")
-            .and_then(|s| s.get("evaluate_batch"))
-            .and_then(|c| c.get("points"))
-        {
-            Some(Json::Arr(points)) => points,
-            other => panic!("missing scaling points: {other:?}"),
+            .and_then(|s| s.get("training_step"))
+            .and_then(|c| c.get("points"));
+        let Some(Json::Arr(points)) = points else {
+            panic!("missing scaling points: {points:?}");
         };
-        let basis: Vec<_> = points.iter().map(|p| p.get("basis").cloned()).collect();
-        assert_eq!(
-            basis,
-            vec![
-                Some(Json::Str("wall".into())),
-                Some(Json::Str("wall".into())),
-                Some(Json::Str("modeled".into())),
-            ]
-        );
-        assert_eq!(scaling_speedup_at(&doc, "evaluate_batch", 4), Some(4.0));
-        // Serialized at 6 decimals, so compare with matching tolerance.
-        let at2 = scaling_speedup_at(&doc, "evaluate_batch", 2).unwrap();
-        assert!((at2 - 80.0 / 41.0).abs() < 1e-6, "got {at2}");
-        assert_eq!(scaling_speedup_at(&doc, "evaluate_batch", 16), None);
-        assert_eq!(scaling_speedup_at(&doc, "training_step", 1), None);
+        assert_eq!(points[1].get("wall_speedup"), Some(&Json::Num(2.0)));
+        let mut report = sample();
+        report.training_scaling = None;
+        validate_report(&report.to_json()).expect("a null curve validates");
     }
 
     #[test]
@@ -1213,8 +1115,7 @@ mod tests {
         let bad = format!(
             r#"{{"schema": "{PERF_SCHEMA}", "pool_threads": 1, "cpu_cores": 1,
                 "simd_level": "scalar", "cpu_features": [], "gemm": [],
-                "training_step": null, "evaluate_batch": null,
-                "scaling": {{"evaluate_batch": null, "training_step": null}},
+                "training_step": null, "scaling": {{"training_step": null}},
                 "simd_scaling": null, "incremental_speedup": null}}"#
         );
         assert!(validate_report(&bad).unwrap_err().contains("gemm"));
@@ -1223,14 +1124,11 @@ mod tests {
             r#"{{"schema": "{PERF_SCHEMA}", "pool_threads": 2, "cpu_cores": 1,
                 "simd_level": "scalar", "cpu_features": [],
                 "gemm": [{{"op": "nn", "simd_level": "scalar", "m": 1, "k": 2, "n": 3}}],
-                "training_step": null, "evaluate_batch": null,
-                "scaling": {{"evaluate_batch": null, "training_step": null}},
+                "training_step": null, "scaling": {{"training_step": null}},
                 "simd_scaling": null, "incremental_speedup": null}}"#
         );
         assert!(validate_report(&bad).unwrap_err().contains("threads"));
-        // Thread-honesty requirements of v2: cpu_cores and the scaling
-        // section are mandatory, and a "modeled" basis must carry the
-        // model that produced it.
+        // Thread honesty: cpu_cores and the scaling section are mandatory.
         let mut report = sample().to_json();
         report = report.replacen("  \"cpu_cores\": 2,\n", "", 1);
         assert!(validate_report(&report).unwrap_err().contains("cpu_cores"));
@@ -1239,14 +1137,36 @@ mod tests {
         let end = report.find("  \"incremental_speedup\"").unwrap();
         report.replace_range(start..end, "");
         assert!(validate_report(&report).unwrap_err().contains("scaling"));
-        let dishonest = sample().to_json().replacen(
-            "\"modeled_ms\": 20.000000, \"speedup\": 4.000000, \"basis\": \"modeled\"",
-            "\"modeled_ms\": null, \"speedup\": 4.000000, \"basis\": \"modeled\"",
+        // v3-shaped content under the current schema marker: an sse2
+        // level, the retired batch sections, a scaling-point basis.
+        let v3 = sample().to_json().replacen(
+            "\"level\": \"avx2\", \"gemm\"",
+            "\"level\": \"sse2\", \"gemm\"",
             1,
         );
-        assert!(validate_report(&dishonest)
-            .unwrap_err()
-            .contains("modeled_ms"));
+        assert!(validate_report(&v3).unwrap_err().contains("sse2"));
+        let v3 = sample().to_json().replacen(
+            "  \"training_step\":",
+            "  \"evaluate_batch\": null,\n  \"training_step\":",
+            1,
+        );
+        assert!(validate_report(&v3).unwrap_err().contains("evaluate_batch"));
+        let v3 = sample().to_json().replacen(
+            "\"scaling\": {\"training_step\"",
+            "\"scaling\": {\"evaluate_batch\": null, \"training_step\"",
+            1,
+        );
+        assert!(validate_report(&v3).unwrap_err().contains("evaluate_batch"));
+        let v3 = sample().to_json().replacen(
+            "\"wall_speedup\": 2.000000}",
+            "\"wall_speedup\": 2.000000, \"basis\": \"wall\"}",
+            1,
+        );
+        assert!(validate_report(&v3).unwrap_err().contains("basis"));
+        let v3 = sample()
+            .to_json()
+            .replacen(PERF_SCHEMA, "cv-bench-perf-v3", 1);
+        assert!(validate_report(&v3).unwrap_err().contains("schema"));
     }
 
     #[test]
@@ -1275,7 +1195,7 @@ mod tests {
         assert!(err.contains("avx2"), "got: {err}");
         // ...but the same section is fine on a machine without avx2.
         report.cpu_features = vec!["sse2".into()];
-        report.simd_level = "sse2".into();
+        report.simd_level = "scalar".into();
         validate_report(&report.to_json()).expect("scalar-only section on a non-avx2 host");
         // A non-scalar measurement with a null headline is dishonest.
         let mut report = sample();
@@ -1337,6 +1257,15 @@ mod tests {
         assert_eq!(doc.get("unit"), Some(&Json::Str("µs → ναι".into())));
         assert!(parse_json("[1, 2,]").is_err());
         assert!(parse_json("{} garbage").is_err());
+        // Nesting is bounded: MAX_DEPTH levels parse, and a hostile
+        // bracket run is an error, not a stack overflow.
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse_json(&deepest).is_ok());
+        let too_deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse_json(&too_deep).unwrap_err().contains("nesting"));
+        for hostile in ["[".repeat(100_000), "{\"a\":".repeat(100_000)] {
+            assert!(parse_json(&hostile).unwrap_err().contains("nesting"));
+        }
     }
 
     #[test]

@@ -761,6 +761,31 @@ fn malformed_frames_get_errors_and_never_kill_the_daemon() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A line of nested brackets under the default line cap is parsed on a
+/// connection thread's stack: it must answer an error, not overflow the
+/// stack and abort the whole daemon.
+#[test]
+fn deeply_nested_request_gets_an_error_and_the_daemon_survives() {
+    let _net = net_serialize();
+    let dir = base_dir("nesting");
+    let (port, server) = spawn_server(&dir, ServeOptions::default());
+    let mut client = Client::connect(port);
+    client.send_raw(&vec![b'['; 60_000]);
+    let reply = client.recv().expect("connection died on a nested line");
+    assert!(reply.contains("\"ok\":false"), "got: {reply}");
+    let mut fresh = Client::connect(port);
+    fresh.expect_ok(&Request::Ping);
+    fresh.expect_ok(&Request::Shutdown);
+    server
+        .join()
+        .expect("server thread")
+        .expect("serve survives a nested line");
+    drop(client);
+    drop(fresh);
+    assert_connections_drain();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn connection_limit_sheds_with_structured_overload() {
     let _net = net_serialize();

@@ -107,8 +107,7 @@ pub trait Checkpointable: Sized {
 ///
 /// This is the archive observation of the driver loop: archiving is
 /// observation-only (DESIGN.md §6, Contract 7), so the driver behaves
-/// bit-for-bit as it would without the capture. It replaces the
-/// per-method `run_archived` variants earlier revisions carried.
+/// bit-for-bit as it would without the capture.
 pub fn run_archived<D: SearchDriver + ?Sized>(
     driver: &mut D,
     evaluator: &CachedEvaluator,

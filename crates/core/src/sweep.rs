@@ -7,11 +7,9 @@
 //! This module walks that ladder for the latent search. Each rung gets
 //! its own [`CachedEvaluator`] (the flow's sizing weight follows ω), and
 //! consecutive rungs are **warm-started**: the best designs the previous
-//! rung discovered are re-scored under the new objective — chained
-//! through [`CachedEvaluator::evaluate_from`] so the incremental
-//! session patches resident netlist state instead of re-synthesizing —
-//! and seed the next rung's dataset. A [`SharedArchive`] attached to
-//! every rung's evaluator accumulates the overall frontier for free.
+//! rung discovered are re-scored under the new objective and seed the
+//! next rung's dataset. A [`SharedArchive`] attached to every rung's
+//! evaluator accumulates the overall frontier for free.
 
 use crate::algorithm::CircuitVae;
 use crate::config::CircuitVaeConfig;
@@ -70,11 +68,10 @@ pub struct SweepRung {
 }
 
 /// Runs Algorithm 1 once per weight in `sweep.weights`, warm-starting
-/// each rung from the previous rung's best designs via
-/// `evaluate_from`-chained re-scoring. `make_evaluator` builds the
-/// evaluator for a given ω (the caller owns tech/IO/width policy);
-/// `archive`, when given, is attached to every rung's evaluator so the
-/// whole sweep feeds one frontier.
+/// each rung from the previous rung's re-scored best designs.
+/// `make_evaluator` builds the evaluator for a given ω (the caller owns
+/// tech/IO/width policy); `archive`, when given, is attached to every
+/// rung's evaluator so the whole sweep feeds one frontier.
 ///
 /// Deterministic for a fixed `(sweep, seed)`: rung `i` trains and
 /// searches with seed `seed + i` streams.
@@ -243,17 +240,11 @@ impl<F: Fn(f64) -> CachedEvaluator> SweepDriver<F> {
                 initial.push((g, cost));
             }
         } else {
-            let mut prev: Option<&PrefixGrid> = None;
             for g in &self.carry {
                 if evaluator.counter().count() >= seed_cap {
                     break;
                 }
-                let rec = match prev {
-                    Some(p) => evaluator.evaluate_from(p, g),
-                    None => evaluator.evaluate(g),
-                };
-                prev = Some(g);
-                initial.push((g.clone(), rec.cost));
+                initial.push((g.clone(), evaluator.evaluate(g).cost));
             }
         }
         let init_used = evaluator.counter().count();

@@ -40,14 +40,11 @@
 //!
 //! The scalar block kernels in this file are one tier of a
 //! runtime-dispatched family: [`mod@simd`] adds explicit `std::arch`
-//! SSE2/AVX2 microkernels for the same inner loops, selected once per
-//! process by CPU capability (overridable with `CV_SIMD=scalar|sse2|avx2`
-//! or [`set_simd_level`]), and compiles the portable 3×3 conv bodies
-//! once more for avx2. The default **strict** tier preserves every
-//! accumulation chain, so Contract 9 bit-identity holds unchanged at
-//! every SIMD level; the opt-in **relaxed** tier
-//! ([`set_relaxed_kernels`]) trades chain order for FMA throughput on
-//! the GEMM entry points only — convolution always runs strict.
+//! AVX2 microkernels for the same inner loops, selected once per process
+//! by CPU capability (overridable with `CV_SIMD=scalar|avx2` or
+//! [`set_simd_level`]), and compiles the portable 3×3 conv bodies once
+//! more for avx2. Every tier preserves every accumulation chain, so
+//! Contract 9 bit-identity holds unchanged at both SIMD levels.
 
 use crate::arena::ScratchArena;
 use cv_pool::WorkerPool;
@@ -56,8 +53,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 pub mod simd;
 
 pub use simd::{
-    cpu_features, detected_level, gemm_nn_at, gemm_nt_at, gemm_tn_at, relaxed_kernels,
-    set_relaxed_kernels, set_simd_level, simd_level, KernelMode, SimdLevel,
+    cpu_features, detected_level, gemm_nn_at, gemm_nt_at, gemm_tn_at, set_simd_level, simd_level,
+    SimdLevel,
 };
 
 /// k-dimension cache block: 256 f32 rows of B keep the streamed panel
@@ -104,23 +101,13 @@ pub fn planned_chunks(pool: &WorkerPool, rows: usize, flops: usize) -> usize {
 // NN: out[m,n] += a[m,k] × b[k,n]
 // ---------------------------------------------------------------------
 
-/// Row-block inner kernel at the active SIMD tier and mode; chains per
-/// element stay in ascending-`p` reference order in strict mode.
+/// Row-block inner kernel at the active SIMD tier; chains per element
+/// stay in ascending-`p` reference order.
 fn nn_block(out: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize) {
     if n == 0 {
         return;
     }
     simd::dispatch_nn(out, a, b, k, n);
-}
-
-/// [`nn_block`] pinned to strict mode regardless of the relaxed toggle:
-/// the conv lowerings use this so convolution stays bit-exact
-/// (Contract 9) even when the GEMM entry points opt into relaxed.
-fn nn_block_strict(out: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize) {
-    if n == 0 {
-        return;
-    }
-    simd::dispatch_nn_strict(out, a, b, k, n);
 }
 
 /// Scalar (autovectorized) tier of [`nn_block`]: accumulates
@@ -313,7 +300,7 @@ fn nt_rows2(
     }
 }
 
-/// NT row-block kernel at the active SIMD tier and mode.
+/// NT row-block kernel at the active SIMD tier.
 fn nt_block(out: &mut [f32], g: &[f32], b: &[f32], n: usize, kk: usize) {
     if kk == 0 {
         return;
@@ -400,7 +387,7 @@ pub fn gemm_nt(out: &mut [f32], g: &[f32], b: &[f32], m: usize, n: usize, kk: us
 // TN: out[k,n] += a[m,k]ᵀ × g[m,n]
 // ---------------------------------------------------------------------
 
-/// TN inner kernel at the active SIMD tier and mode: `out` covers
+/// TN inner kernel at the active SIMD tier: `out` covers
 /// output rows `p_off..p_off + out.len()/n`.
 fn tn_block(out: &mut [f32], a: &[f32], g: &[f32], p_off: usize, m: usize, k: usize, n: usize) {
     if n == 0 {
@@ -684,7 +671,7 @@ pub fn conv2d_forward_into(
         let obi = &mut out[bi * s.cout * ohow..][..s.cout * ohow];
         for ci in 0..s.cin {
             part.fill(0.0);
-            nn_block_strict(
+            nn_block(
                 &mut part,
                 &wpack[ci * s.cout * khkw..][..s.cout * khkw],
                 &cols[ci * khkw * ohow..][..khkw * ohow],
@@ -791,7 +778,7 @@ pub fn conv2d_backward_into(
 // ---------------------------------------------------------------------
 //
 // One portable body per pass, generic over the lane-block width `L`;
-// `simd` instantiates each plainly (`L = 4`, the scalar and sse2 tiers)
+// `simd` instantiates each plainly (`L = 4`, the scalar tier)
 // and once more inside an `avx2` target-feature function (`L = 8`). The
 // bodies only ever run lane-wise `+` and `·` on independent chains — no
 // intrinsics, no FMA, no reassociation — so every output element gets

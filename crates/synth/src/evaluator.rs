@@ -244,27 +244,15 @@ impl CachedEvaluator {
 
     /// Evaluates one grid, consulting the cache.
     pub fn evaluate(&self, grid: &PrefixGrid) -> EvalRecord {
-        self.evaluate_inner(grid, None)
-    }
-
-    /// Evaluates `next`, hinting that it was derived from `prev` (e.g. an
-    /// SA/GA mutation): a cache miss passes the hint to the resident
-    /// session's [`EvalSession::evaluate_delta`]. Results and simulation
-    /// accounting are identical to [`CachedEvaluator::evaluate`].
-    pub fn evaluate_from(&self, prev: &PrefixGrid, next: &PrefixGrid) -> EvalRecord {
-        self.evaluate_inner(next, Some(prev))
-    }
-
-    fn evaluate_inner(&self, grid: &PrefixGrid, prev: Option<&PrefixGrid>) -> EvalRecord {
         if grid.is_legal() {
-            self.evaluate_key(grid, prev)
+            self.evaluate_key(grid)
         } else {
-            self.evaluate_key(&grid.legalized(), prev)
+            self.evaluate_key(&grid.legalized())
         }
     }
 
-    /// [`CachedEvaluator::evaluate_inner`] for an already-legalized key.
-    fn evaluate_key(&self, key: &PrefixGrid, prev: Option<&PrefixGrid>) -> EvalRecord {
+    /// [`CachedEvaluator::evaluate`] for an already-legalized key.
+    fn evaluate_key(&self, key: &PrefixGrid) -> EvalRecord {
         let mut inner = self.inner.lock();
         if let Some(&rec) = inner.cache.get(key) {
             return rec;
@@ -277,10 +265,7 @@ impl CachedEvaluator {
                 .session
                 .take()
                 .unwrap_or_else(|| EvalSession::from_objective(&self.objective));
-            let rec = match prev {
-                Some(p) => session.evaluate_delta(p, key),
-                None => session.evaluate(key),
-            };
+            let rec = session.evaluate(key);
             inner.session = Some(session);
             rec
         } else {
@@ -418,32 +403,12 @@ mod tests {
         let mut grid = topologies::sklansky(12);
         for _ in 0..8 {
             let next = mutate::neighbour(&grid, &mut rng);
-            let a = fast.evaluate_from(&grid, &next);
+            let a = fast.evaluate(&next);
             let b = reference.evaluate(&next);
             assert_eq!(a, b, "fast path must be observationally identical");
             grid = next;
         }
         assert_eq!(fast.counter().count(), reference.counter().count());
-    }
-
-    #[test]
-    fn evaluate_from_counts_like_evaluate() {
-        let ev = evaluator(12, 0.5);
-        let base = topologies::brent_kung(12);
-        let mut cand = base.clone();
-        cand.set(11, 5, true).unwrap();
-        cand.legalize();
-        let a = ev.evaluate_from(&base, &cand);
-        assert_eq!(
-            ev.counter().count(),
-            1,
-            "the hint itself is not a counted simulation"
-        );
-        let b = ev.evaluate(&cand);
-        assert_eq!(a, b);
-        assert_eq!(ev.counter().count(), 1, "second query is a cache hit");
-        let _ = ev.evaluate(&base);
-        assert_eq!(ev.counter().count(), 2, "base still counts when queried");
     }
 
     #[test]

@@ -44,7 +44,4 @@ pub use pareto::{
 };
 pub use session::EvalSession;
 pub use sizing::{size_gates, size_gates_incremental};
-pub use tracking::{
-    eval_and_track, eval_and_track_from, eval_record_and_track, eval_record_and_track_from,
-    BestTracker, SearchOutcome,
-};
+pub use tracking::{eval_and_track, eval_record_and_track, BestTracker, SearchOutcome};

@@ -34,7 +34,8 @@ use cv_sta::TimingEngine;
 /// let mut mutated = base.clone();
 /// mutated.set(15, 9, true).unwrap();
 /// mutated.legalize();
-/// let rec = session.evaluate_delta(&base, &mutated);
+/// session.evaluate(&base);
+/// let rec = session.evaluate(&mutated); // patches only the changed spans
 /// assert_eq!(rec.ppa, flow.synthesize(&mutated)); // bit-for-bit
 /// ```
 #[derive(Debug, Clone)]
@@ -129,20 +130,6 @@ impl EvalSession {
             ppa,
         }
     }
-
-    /// Evaluates `next` as a delta from `prev`: when the resident state
-    /// already corresponds to `prev` (the common case along a mutation
-    /// chain) only the changed prefix spans are re-emitted; within gate
-    /// sizing, every trial resize is a cone-sized delta-STA update (the
-    /// post-buffering netlist itself still gets one full timing pass).
-    /// If the resident state is something else — including a fresh
-    /// session — the call simply evaluates `next` from whatever is
-    /// resident, never doing *extra* work to honor the hint. In every
-    /// case the returned record equals a full evaluation of `next`.
-    pub fn evaluate_delta(&mut self, prev: &PrefixGrid, next: &PrefixGrid) -> EvalRecord {
-        debug_assert_eq!(prev.width(), next.width(), "delta across widths");
-        self.evaluate(next)
-    }
 }
 
 #[cfg(test)]
@@ -180,7 +167,7 @@ mod tests {
         let mut grid = topologies::brent_kung(12);
         for step in 0..16 {
             let next = mutate::neighbour(&grid, &mut rng);
-            let rec = session.evaluate_delta(&grid, &next);
+            let rec = session.evaluate(&next);
             let full = flow.synthesize(&next);
             assert_eq!(rec.ppa, full, "step {step}");
             assert_eq!(

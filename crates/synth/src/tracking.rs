@@ -255,19 +255,6 @@ pub fn eval_record_and_track(
     rec
 }
 
-/// Like [`eval_record_and_track`], with a derivation hint (see
-/// [`eval_and_track_from`]).
-pub fn eval_record_and_track_from(
-    evaluator: &CachedEvaluator,
-    tracker: &mut BestTracker,
-    prev: &PrefixGrid,
-    grid: &PrefixGrid,
-) -> EvalRecord {
-    let rec = evaluator.evaluate_from(prev, grid);
-    tracker.observe(evaluator.counter().count(), grid, rec.cost);
-    rec
-}
-
 /// Convenience wrapper: evaluate, observe, and return the cost.
 pub fn eval_and_track(
     evaluator: &CachedEvaluator,
@@ -275,19 +262,6 @@ pub fn eval_and_track(
     grid: &PrefixGrid,
 ) -> f64 {
     eval_record_and_track(evaluator, tracker, grid).cost
-}
-
-/// Like [`eval_and_track`], but tells the evaluator which design `grid`
-/// was derived from so the incremental evaluation path can patch that
-/// design's resident netlist/timing state instead of rebuilding
-/// (mutation-heavy searchers — SA, GA, REINFORCE — call this).
-pub fn eval_and_track_from(
-    evaluator: &CachedEvaluator,
-    tracker: &mut BestTracker,
-    prev: &PrefixGrid,
-    grid: &PrefixGrid,
-) -> f64 {
-    eval_record_and_track_from(evaluator, tracker, prev, grid).cost
 }
 
 #[cfg(test)]

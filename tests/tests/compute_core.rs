@@ -5,14 +5,12 @@
 //! worker-pool size; and a whole training step is bit-identical whether
 //! the graph runs on the compute core or the reference kernels.
 //!
-//! The SIMD half (DESIGN.md Contract 12): every **strict**-mode kernel
-//! is bit-identical at every supported `CV_SIMD` level — scalar ↔ sse2
-//! ↔ avx2, through the race-free per-level entries, the public dispatch
-//! path, and the conv pipeline, at several pool sizes — while
-//! **relaxed** mode (explicit opt-in, FMA + reassociation) is held to a
-//! magnitude-scaled tolerance against strict.
+//! The SIMD half (DESIGN.md Contract 12): every kernel is bit-identical
+//! at every supported `CV_SIMD` level — scalar ↔ avx2 — through the
+//! race-free per-level entries, the public dispatch path, and the conv
+//! pipeline, at several pool sizes.
 
-use cv_nn::gemm::{self, reference, ConvShape, KernelMode, SimdLevel};
+use cv_nn::gemm::{self, reference, ConvShape, SimdLevel};
 use cv_nn::{GradAccumulator, Graph, ParamStore, ScratchArena, Tensor};
 use cv_pool::WorkerPool;
 use proptest::prelude::*;
@@ -283,8 +281,8 @@ fn training_step_case(width: usize, channels: usize) {
     );
 }
 
-/// The SIMD levels this host can actually execute (always at least
-/// scalar; sse2 on any x86-64; avx2 only when detected).
+/// The SIMD levels this host can actually execute (always scalar; avx2
+/// only when detected).
 fn supported_levels() -> Vec<SimdLevel> {
     SimdLevel::ALL
         .into_iter()
@@ -295,8 +293,8 @@ fn supported_levels() -> Vec<SimdLevel> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Contract 12, strict tier: every SIMD level produces the exact
-    /// reference bits for NN/NT/TN, through the per-level entry points
+    /// Contract 12: every SIMD level produces the exact reference bits
+    /// for NN/NT/TN, through the per-level entry points
     /// (no global state, so every supported tier is exercised in one
     /// process regardless of `CV_SIMD`).
     #[test]
@@ -311,7 +309,7 @@ proptest! {
         reference::gemm_nn(&mut want, &a, &b, m, k, n);
         for level in supported_levels() {
             let mut got = vec![0.0f32; m * n];
-            gemm::gemm_nn_at(level, KernelMode::Strict, &mut got, &a, &b, m, k, n);
+            gemm::gemm_nn_at(level, &mut got, &a, &b, m, k, n);
             assert_bits_eq(&got, &want, &format!("nn strict {}", level.name()));
         }
 
@@ -322,7 +320,7 @@ proptest! {
         reference::gemm_nt(&mut want, &g, &bt, m, k, n);
         for level in supported_levels() {
             let mut got = vec![0.0f32; m * n];
-            gemm::gemm_nt_at(level, KernelMode::Strict, &mut got, &g, &bt, m, k, n);
+            gemm::gemm_nt_at(level, &mut got, &g, &bt, m, k, n);
             assert_bits_eq(&got, &want, &format!("nt strict {}", level.name()));
         }
 
@@ -332,110 +330,17 @@ proptest! {
         reference::gemm_tn(&mut want, &a, &g2, m, k, n);
         for level in supported_levels() {
             let mut got = vec![0.0f32; k * n];
-            gemm::gemm_tn_at(level, KernelMode::Strict, &mut got, &a, &g2, m, k, n);
+            gemm::gemm_tn_at(level, &mut got, &a, &g2, m, k, n);
             assert_bits_eq(&got, &want, &format!("tn strict {}", level.name()));
         }
-    }
-
-    /// Contract 12, relaxed tier: FMA + reassociation may change bits
-    /// but never meaning. Each element is held to a tolerance scaled by
-    /// its accumulated term magnitude Σ|aᵢₖ·bₖⱼ| (the standard backward
-    /// error bound for a reassociated dot product — a plain relative
-    /// bound would be vacuous under cancellation).
-    #[test]
-    fn relaxed_kernels_are_tolerance_equivalent(
-        dims in (1usize..8, 1usize..120, 1usize..20),
-        seed in 0u64..1_000_000,
-    ) {
-        let (m, k, n) = dims;
-        for level in supported_levels() {
-            relaxed_vs_strict_case(level, m, k, n, seed);
-        }
-    }
-}
-
-/// One relaxed-vs-strict comparison for all three GEMM variants at
-/// `level`, with the magnitude-scaled bound described above.
-fn relaxed_vs_strict_case(level: SimdLevel, m: usize, k: usize, n: usize, seed: u64) {
-    let assert_close = |got: &[f32], want: &[f32], bound: &[f32], what: &str| {
-        for (i, ((g, w), s)) in got.iter().zip(want).zip(bound).enumerate() {
-            let tol = 1e-3 * (1.0 + s.abs());
-            assert!(
-                (g - w).abs() <= tol,
-                "{what}: element {i} off by {} (tol {tol}, strict {w}, relaxed {g})",
-                (g - w).abs()
-            );
-        }
-    };
-    let magnitude = |x: &[f32]| -> Vec<f32> { x.iter().map(|v| v.abs()).collect() };
-
-    let a = vals(m * k, seed);
-    let b = vals(k * n, seed + 1);
-    let (mut strict, mut relaxed, mut bound) = (
-        vec![0.0f32; m * n],
-        vec![0.0f32; m * n],
-        vec![0.0f32; m * n],
-    );
-    gemm::gemm_nn_at(level, KernelMode::Strict, &mut strict, &a, &b, m, k, n);
-    gemm::gemm_nn_at(level, KernelMode::Relaxed, &mut relaxed, &a, &b, m, k, n);
-    reference::gemm_nn(&mut bound, &magnitude(&a), &magnitude(&b), m, k, n);
-    assert_close(
-        &relaxed,
-        &strict,
-        &bound,
-        &format!("nn relaxed {}", level.name()),
-    );
-
-    let g = vals(m * k, seed + 2);
-    let bt = vals(n * k, seed + 3);
-    let (mut strict, mut relaxed, mut bound) = (
-        vec![0.0f32; m * n],
-        vec![0.0f32; m * n],
-        vec![0.0f32; m * n],
-    );
-    gemm::gemm_nt_at(level, KernelMode::Strict, &mut strict, &g, &bt, m, k, n);
-    gemm::gemm_nt_at(level, KernelMode::Relaxed, &mut relaxed, &g, &bt, m, k, n);
-    reference::gemm_nt(&mut bound, &magnitude(&g), &magnitude(&bt), m, k, n);
-    assert_close(
-        &relaxed,
-        &strict,
-        &bound,
-        &format!("nt relaxed {}", level.name()),
-    );
-
-    let g2 = vals(m * n, seed + 4);
-    let (mut strict, mut relaxed, mut bound) = (
-        vec![0.0f32; k * n],
-        vec![0.0f32; k * n],
-        vec![0.0f32; k * n],
-    );
-    gemm::gemm_tn_at(level, KernelMode::Strict, &mut strict, &a, &g2, m, k, n);
-    gemm::gemm_tn_at(level, KernelMode::Relaxed, &mut relaxed, &a, &g2, m, k, n);
-    reference::gemm_tn(&mut bound, &magnitude(&a), &magnitude(&g2), m, k, n);
-    assert_close(
-        &relaxed,
-        &strict,
-        &bound,
-        &format!("tn relaxed {}", level.name()),
-    );
-}
-
-/// Relaxed tier at the pinned worst-case shapes — the exact bench
-/// headline GEMMs (deep k=768 reduction chains, where reassociation
-/// error is largest).
-#[test]
-fn relaxed_kernels_hold_tolerance_at_bench_shapes() {
-    for level in supported_levels() {
-        relaxed_vs_strict_case(level, 64, 768, 128, 0xBEEF);
-        relaxed_vs_strict_case(level, 12, 54, 256, 0xCAFE);
     }
 }
 
 /// Tiny, ragged, and degenerate shapes — 1×N, empty dims, lengths that
 /// are not a multiple of any vector width — through the **public**
 /// dispatch path at every supported level (`set_simd_level` toggling is
-/// bit-harmless in strict mode: every tier is bit-identical, which is
-/// exactly what this proves), including small worker pools.
+/// bit-harmless: every tier is bit-identical, which is exactly what this
+/// proves), including small worker pools.
 #[test]
 fn tiny_and_ragged_shapes_are_exact_at_every_level() {
     use cv_pool::WorkerPool;
@@ -506,9 +411,8 @@ fn tiny_and_ragged_shapes_are_exact_at_every_level() {
 }
 
 /// The channel-blocked 3×3 conv kernels are bit-identical to the direct
-/// reference at every supported SIMD level — conv is always strict
-/// under Contract 12, no opt-out — on the paper CNN's geometries and on
-/// widths that end in a ragged lane block.
+/// reference at every supported SIMD level (Contract 12) on the paper
+/// CNN's geometries and on widths that end in a ragged lane block.
 #[test]
 fn conv_is_bit_identical_at_every_simd_level() {
     let entry = gemm::simd_level();

@@ -1,7 +1,7 @@
 //! The equivalence layer pinning the incremental evaluation engine:
 //! for arbitrary mutation chains on arbitrary legal grids — across both
 //! technology libraries and all three circuit kinds —
-//! `EvalSession::evaluate_delta` must reproduce the full
+//! a resident `EvalSession` evaluating the chain must reproduce the full
 //! `SynthesisFlow` PPA **bit-for-bit** ("Contract 6" in DESIGN.md §6).
 //!
 //! This suite is what makes the arena-netlist remap, the delta-STA
@@ -52,7 +52,7 @@ fn check_chain(
         } else {
             mutate::neighbour(&grid, &mut rng)
         };
-        let rec = session.evaluate_delta(&grid, &next);
+        let rec = session.evaluate(&next);
         let full = flow.synthesize(&next);
         assert_eq!(
             rec.ppa, full,
@@ -136,7 +136,7 @@ fn evaluator_fast_path_is_invisible_to_searchers() {
     let mut grid = topologies::sklansky(10);
     for _ in 0..10 {
         let next = mutate::neighbour(&grid, &mut rng);
-        let a = fast.evaluate_from(&grid, &next);
+        let a = fast.evaluate(&next);
         let b = reference.evaluate(&next);
         assert_eq!(a, b);
         assert_eq!(a.cost.to_bits(), b.cost.to_bits());
