@@ -28,8 +28,11 @@
 //! fair slice of [`DaemonConfig::slice_steps`] driver steps, dispatched
 //! onto the shared [`cv_pool::WorkerPool`] (dynamic assignment — job
 //! results never depend on which worker runs a slice). The serving loop
-//! interleaves rounds with command handling, so `pause`/`cancel`/
-//! `frontier` take effect at step granularity.
+//! interleaves rounds with command handling, so `pause`/`cancel` take
+//! effect at step granularity. After every round and every command the
+//! daemon publishes a read view — an immutable snapshot of the job
+//! table — from which `status`/`frontier`/`fail-info` are answered
+//! without waiting for the scheduler.
 //!
 //! **Failure lifecycle (Contract 13).** A job whose driver step panics,
 //! or whose durable writes fail *transiently* (anything short of an
@@ -62,6 +65,7 @@ use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Daemon execution policy.
 #[derive(Debug, Clone)]
@@ -455,8 +459,147 @@ struct JobSlot {
     state: parking_lot::Mutex<JobState>,
 }
 
+impl JobSlot {
+    /// This job's row of a [`ReadView`].
+    fn view(&self) -> ViewJob {
+        let state = self.state.lock();
+        let (sims, best, front, failure) = match &*state {
+            JobState::Running(rt) | JobState::Paused(rt) => {
+                (rt.sims_used(), rt.best_cost(), Some(rt.front()), None)
+            }
+            JobState::Done(r) => (
+                r.outcome.history.last().map_or(0, |&(s, _)| s),
+                r.outcome.best_cost,
+                Some(result_front(r)),
+                None,
+            ),
+            JobState::Failed(info) | JobState::Quarantined(info) => {
+                (info.sims, f64::INFINITY, None, Some(info.clone()))
+            }
+        };
+        ViewJob {
+            status: JobStatus {
+                id: self.id.clone(),
+                state: state.label(),
+                sims,
+                budget: self.spec.budget,
+                best,
+            },
+            front,
+            failure,
+        }
+    }
+}
+
 /// The filename of the service journal inside the daemon directory.
 pub const SERVICE_JOURNAL: &str = "campaignd.journal";
+
+/// One job as a [`ReadView`] shows it.
+#[derive(Debug, Clone)]
+struct ViewJob {
+    status: JobStatus,
+    /// The live frontier; `None` while the job is parked.
+    front: Option<Vec<(f64, f64, usize)>>,
+    /// Failure details while the job is parked.
+    failure: Option<FailureInfo>,
+}
+
+/// An immutable snapshot of the job table, taken after a round or a
+/// command completed: what the read verbs (`status`, `frontier`,
+/// `fail-info`) answer from, so a read never waits for a round
+/// (DESIGN.md §10).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ReadView {
+    dead: bool,
+    jobs: Vec<ViewJob>,
+}
+
+impl ReadView {
+    /// Answers `req` from this snapshot if it is a read verb; `None` for
+    /// every command, which must go through the [`Daemon`] itself.
+    pub(crate) fn answer(&self, req: &Request) -> Option<Response> {
+        let reply = match req {
+            Request::Status { id } => self.status(id.as_deref()),
+            Request::Frontier { id } => self.frontier(id),
+            Request::FailInfo { id } => self.fail_info(id),
+            _ => return None,
+        };
+        Some(if self.dead { dead_error() } else { reply })
+    }
+
+    fn find(&self, id: &str) -> Option<&ViewJob> {
+        self.jobs.iter().find(|j| j.status.id == id)
+    }
+
+    fn status(&self, id: Option<&str>) -> Response {
+        let rows: Vec<JobStatus> = self
+            .jobs
+            .iter()
+            .filter(|j| id.map_or(true, |id| j.status.id == id))
+            .map(|j| j.status.clone())
+            .collect();
+        if id.is_some() && rows.is_empty() {
+            return Response::error(format!("unknown job {}", id.unwrap_or_default()));
+        }
+        Response::Status { jobs: rows }
+    }
+
+    fn frontier(&self, id: &str) -> Response {
+        let Some(job) = self.find(id) else {
+            return Response::error(format!("unknown job {id}"));
+        };
+        match &job.front {
+            Some(front) => Response::Frontier {
+                id: id.to_string(),
+                front: front.clone(),
+            },
+            None => Response::error(format!(
+                "job {id} is {}; no live frontier (retry it first)",
+                job.status.state
+            )),
+        }
+    }
+
+    fn fail_info(&self, id: &str) -> Response {
+        let Some(job) = self.find(id) else {
+            return Response::error(format!("unknown job {id}"));
+        };
+        match &job.failure {
+            Some(info) => Response::FailInfo {
+                id: id.to_string(),
+                state: job.status.state,
+                retries: info.retries,
+                backoff_rounds: info.backoff,
+                reason: Some(info.reason.clone()),
+            },
+            None => Response::error(format!(
+                "job {id} is not failed (state: {})",
+                job.status.state
+            )),
+        }
+    }
+}
+
+/// The reply to every request once the durable write path has failed.
+fn dead_error() -> Response {
+    Response::error("daemon is dead (durable write path failed)")
+}
+
+/// Where a [`Daemon`] publishes its latest [`ReadView`]; clones share
+/// the slot, so reader threads see each publication.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ViewHandle(Arc<Mutex<Arc<ReadView>>>);
+
+impl ViewHandle {
+    /// The most recently published snapshot.
+    pub(crate) fn latest(&self) -> Arc<ReadView> {
+        Arc::clone(&self.0.lock().unwrap_or_else(PoisonError::into_inner))
+    }
+
+    fn publish(&self, view: ReadView) {
+        *self.0.lock().unwrap_or_else(PoisonError::into_inner) = Arc::new(view);
+    }
+}
 
 /// The `campaignd` core: a journaled, crash-replayable multi-job
 /// scheduler. See the module docs for the durability contract.
@@ -469,6 +612,8 @@ pub struct Daemon {
     /// path: the daemon refuses all further mutation, exactly as a dead
     /// process would.
     dead: bool,
+    /// The read view, republished after every round and command.
+    view: ViewHandle,
 }
 
 impl Daemon {
@@ -544,12 +689,35 @@ impl Daemon {
             journal: Some(opened.journal),
             jobs,
             dead: false,
+            view: ViewHandle::default(),
         };
         // Startup GC half 2: compact the journal to canonical form
         // (this also durably records *finished* for jobs that completed
         // right before a crash could record them).
         daemon.rotate_canonical()?;
+        daemon.publish();
         Ok(daemon)
+    }
+
+    /// The slot this daemon publishes its [`ReadView`] to. A view is
+    /// published after every [`Daemon::round`], every command handled
+    /// by [`Daemon::handle`] (before it returns its reply), and every
+    /// [`Daemon::checkpoint_all`].
+    pub(crate) fn view(&self) -> ViewHandle {
+        self.view.clone()
+    }
+
+    /// Snapshots the job table into a fresh [`ReadView`].
+    fn publish(&self) {
+        let jobs = if self.dead {
+            Vec::new()
+        } else {
+            self.jobs.iter().map(JobSlot::view).collect()
+        };
+        self.view.publish(ReadView {
+            dead: self.dead,
+            jobs,
+        });
     }
 
     /// Whether the durable write path has failed (simulated or real
@@ -696,22 +864,33 @@ impl Daemon {
     /// sees a retryable [`Response::Error`]. Client-level failures
     /// (unknown id, spec collision, invalid transition) are `Ok` with
     /// [`Response::Error`] and change nothing.
+    ///
+    /// Read verbs (`status`, `frontier`, `fail-info`) are answered from
+    /// the read view published after the last round or command, exactly
+    /// as the server's connection threads answer them.
     pub fn handle(&mut self, req: &Request) -> io::Result<Response> {
+        if let Some(reply) = self.view.latest().answer(req) {
+            return Ok(reply);
+        }
+        let result = self.command(req);
+        self.publish();
+        result
+    }
+
+    fn command(&mut self, req: &Request) -> io::Result<Response> {
         if self.dead {
-            return Ok(Response::error(
-                "daemon is dead (durable write path failed)",
-            ));
+            return Ok(dead_error());
         }
         let result = match req {
             Request::Submit(spec) => self.submit(spec),
-            Request::Status { id } => Ok(self.status(id.as_deref())),
             Request::Pause { id } => self.pause(id),
             Request::Resume { id } => self.resume(id),
             Request::Cancel { id } => self.cancel(id),
-            Request::Frontier { id } => Ok(self.frontier(id)),
             Request::Retry { id } => self.retry(id),
-            Request::FailInfo { id } => Ok(self.fail_info(id)),
             Request::Ping | Request::Shutdown => Ok(Response::Ok),
+            Request::Status { .. } | Request::Frontier { .. } | Request::FailInfo { .. } => {
+                unreachable!("read verbs are answered from the view")
+            }
         };
         match result {
             Err(e) if cv_journal::failpoint::is_crash(&e) => {
@@ -803,40 +982,6 @@ impl Daemon {
             id,
             existing: false,
         })
-    }
-
-    fn status(&self, id: Option<&str>) -> Response {
-        let rows: Vec<JobStatus> = self
-            .jobs
-            .iter()
-            .filter(|j| id.map_or(true, |id| j.id == id))
-            .map(|j| {
-                let state = j.state.lock();
-                let (sims, best) = match &*state {
-                    JobState::Running(rt) | JobState::Paused(rt) => {
-                        (rt.sims_used(), rt.best_cost())
-                    }
-                    JobState::Done(r) => (
-                        r.outcome.history.last().map_or(0, |&(s, _)| s),
-                        r.outcome.best_cost,
-                    ),
-                    JobState::Failed(info) | JobState::Quarantined(info) => {
-                        (info.sims, f64::INFINITY)
-                    }
-                };
-                JobStatus {
-                    id: j.id.clone(),
-                    state: state.label(),
-                    sims,
-                    budget: j.spec.budget,
-                    best,
-                }
-            })
-            .collect();
-        if id.is_some() && rows.is_empty() {
-            return Response::error(format!("unknown job {}", id.unwrap_or_default()));
-        }
-        Response::Status { jobs: rows }
     }
 
     fn pause(&mut self, id: &str) -> io::Result<Response> {
@@ -940,44 +1085,6 @@ impl Daemon {
         // GC point: drop the cancelled job's events from the journal.
         self.rotate_canonical_degraded()?;
         Ok(Response::Ok)
-    }
-
-    fn frontier(&self, id: &str) -> Response {
-        let Some(idx) = self.find(id) else {
-            return Response::error(format!("unknown job {id}"));
-        };
-        let state = self.jobs[idx].state.lock();
-        let front = match &*state {
-            JobState::Running(rt) | JobState::Paused(rt) => rt.front(),
-            JobState::Done(result) => result_front(result),
-            JobState::Failed(_) | JobState::Quarantined(_) => {
-                return Response::error(format!(
-                    "job {id} is {}; no live frontier (retry it first)",
-                    state.label()
-                ))
-            }
-        };
-        Response::Frontier {
-            id: id.to_string(),
-            front,
-        }
-    }
-
-    fn fail_info(&self, id: &str) -> Response {
-        let Some(idx) = self.find(id) else {
-            return Response::error(format!("unknown job {id}"));
-        };
-        let state = self.jobs[idx].state.lock();
-        match &*state {
-            JobState::Failed(info) | JobState::Quarantined(info) => Response::FailInfo {
-                id: id.to_string(),
-                state: state.label(),
-                retries: info.retries,
-                backoff_rounds: info.backoff,
-                reason: Some(info.reason.clone()),
-            },
-            other => Response::error(format!("job {id} is not failed (state: {})", other.label())),
-        }
     }
 
     fn retry(&mut self, id: &str) -> io::Result<Response> {
@@ -1140,6 +1247,12 @@ impl Daemon {
     /// Only an injected process death (the daemon is dead from then
     /// on); every other failure degrades to parking.
     pub fn round(&mut self) -> io::Result<usize> {
+        let result = self.run_round();
+        self.publish();
+        result
+    }
+
+    fn run_round(&mut self) -> io::Result<usize> {
         if self.dead {
             return Ok(0);
         }
@@ -1231,6 +1344,12 @@ impl Daemon {
     /// Only an injected process death (the daemon is dead from then
     /// on).
     pub fn checkpoint_all(&mut self) -> io::Result<()> {
+        let result = self.checkpoint_running();
+        self.publish();
+        result
+    }
+
+    fn checkpoint_running(&mut self) -> io::Result<()> {
         if self.dead {
             return Ok(());
         }

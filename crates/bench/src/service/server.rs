@@ -6,18 +6,24 @@
 //! owns the [`Daemon`] and alternates between draining queued commands
 //! and running scheduling rounds, so commands take effect at driver-step
 //! granularity and job state never needs cross-thread sharing beyond
-//! the per-slot locks the rounds already use.
+//! the per-slot locks the rounds already use. The read verbs (`status`,
+//! `frontier`, `fail-info`) skip the queue: connection threads answer
+//! them from the daemon's latest published read view (an immutable
+//! snapshot of the job table), so a read never waits out a round. The
+//! scheduler republishes the view after every round and after every
+//! command, before that command's reply is sent.
 //!
 //! **Ingress hardening.** Every connection gets read/write timeouts and
 //! a request-line length cap; the accept path enforces a connection
 //! limit, and the scheduler queue is bounded — load beyond any of these
 //! limits is *shed* with a structured `overloaded` error (or a clean
 //! close) instead of stalling the accept loop or growing without bound
-//! ([`ServeOptions`]). Socket-level failures (reset mid-line, EOF
-//! mid-request, a timed-out read) close only that connection, with the
-//! reason logged; the daemon and every other connection keep going.
+//! ([`ServeOptions`]); reads never enter the queue, so they are never
+//! shed. Socket-level failures (reset mid-line, EOF mid-request, a
+//! timed-out read) close only that connection, with the reason logged;
+//! the daemon and every other connection keep going.
 
-use crate::service::daemon::Daemon;
+use crate::service::daemon::{Daemon, ViewHandle};
 use crate::service::protocol::{Request, Response};
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -131,6 +137,7 @@ pub fn serve_with(
     eprintln!("campaignd: listening on {local}");
 
     let stop = Arc::new(AtomicBool::new(false));
+    let view = daemon.view();
     let (cmd_tx, cmd_rx) = mpsc::sync_channel::<Command>(opts.queue_depth.max(1));
     // Signalled by the connection that carried the acknowledged
     // `shutdown` once its reply is written (or the write gave up).
@@ -140,7 +147,7 @@ pub fn serve_with(
         let opts = opts.clone();
         std::thread::Builder::new()
             .name("campaignd-accept".to_string())
-            .spawn(move || accept_loop(listener, cmd_tx, stop, opts, acked_tx))
+            .spawn(move || accept_loop(listener, cmd_tx, view, stop, opts, acked_tx))
             .map_err(|e| {
                 io::Error::new(
                     e.kind(),
@@ -166,6 +173,7 @@ pub fn serve_with(
 fn accept_loop(
     listener: TcpListener,
     cmd_tx: SyncSender<Command>,
+    view: ViewHandle,
     stop: Arc<AtomicBool>,
     opts: ServeOptions,
     acked_tx: Sender<()>,
@@ -191,6 +199,7 @@ fn accept_loop(
             continue;
         }
         let cmd_tx = cmd_tx.clone();
+        let view = view.clone();
         let acked_tx = acked_tx.clone();
         let opts = opts.clone();
         let guard = ConnGuard::enter();
@@ -198,7 +207,7 @@ fn accept_loop(
             .name("campaignd-conn".to_string())
             .spawn(move || {
                 let _guard = guard;
-                connection_loop(stream, cmd_tx, &opts, &acked_tx);
+                connection_loop(stream, cmd_tx, &view, &opts, &acked_tx);
             });
         if let Err(e) = spawned {
             // Thread exhaustion is load shedding too: log and move on;
@@ -270,6 +279,7 @@ fn frame(mut reply: String) -> String {
 fn connection_loop(
     stream: TcpStream,
     cmd_tx: SyncSender<Command>,
+    view: &ViewHandle,
     opts: &ServeOptions,
     acked_tx: &Sender<()>,
 ) {
@@ -320,32 +330,35 @@ fn connection_loop(
             LineRead::Line(line) => match Request::parse(&line) {
                 // Malformed input never reaches the daemon.
                 Err(msg) => (Response::error(msg).render(), false),
-                Ok(req) => {
-                    let is_shutdown = matches!(req, Request::Shutdown);
-                    let (reply_tx, reply_rx) = mpsc::channel();
-                    match cmd_tx.try_send((req, reply_tx)) {
-                        Ok(()) => match reply_rx.recv() {
-                            Ok(reply) => {
-                                shutdown_acked = is_shutdown;
-                                (reply, false)
-                            }
-                            Err(_) => return, // scheduler gone: daemon shut down
-                        },
-                        // Backpressure: shed the request, keep the
-                        // connection — the client may retry later.
-                        Err(mpsc::TrySendError::Full(_)) => (
-                            Response::Overloaded {
-                                message: format!(
-                                    "scheduler queue full ({} pending)",
-                                    opts.queue_depth
-                                ),
-                            }
-                            .render(),
-                            false,
-                        ),
-                        Err(mpsc::TrySendError::Disconnected(_)) => return,
+                Ok(req) => match view.latest().answer(&req) {
+                    Some(reply) => (reply.render(), false),
+                    None => {
+                        let is_shutdown = matches!(req, Request::Shutdown);
+                        let (reply_tx, reply_rx) = mpsc::channel();
+                        match cmd_tx.try_send((req, reply_tx)) {
+                            Ok(()) => match reply_rx.recv() {
+                                Ok(reply) => {
+                                    shutdown_acked = is_shutdown;
+                                    (reply, false)
+                                }
+                                Err(_) => return, // scheduler gone: daemon shut down
+                            },
+                            // Backpressure: shed the request, keep the
+                            // connection — the client may retry later.
+                            Err(mpsc::TrySendError::Full(_)) => (
+                                Response::Overloaded {
+                                    message: format!(
+                                        "scheduler queue full ({} pending)",
+                                        opts.queue_depth
+                                    ),
+                                }
+                                .render(),
+                                false,
+                            ),
+                            Err(mpsc::TrySendError::Disconnected(_)) => return,
+                        }
                     }
-                }
+                },
             },
         };
         let written = writer.write_all(frame(reply).as_bytes());

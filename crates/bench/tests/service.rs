@@ -432,9 +432,18 @@ fn spawn_server(
     dir: &Path,
     opts: ServeOptions,
 ) -> (u16, std::thread::JoinHandle<std::io::Result<()>>) {
+    spawn_server_with(cfg(dir), opts)
+}
+
+/// [`spawn_server`] with an explicit daemon policy.
+fn spawn_server_with(
+    daemon_cfg: DaemonConfig,
+    opts: ServeOptions,
+) -> (u16, std::thread::JoinHandle<std::io::Result<()>>) {
+    let dir = daemon_cfg.dir.clone();
     let port_file = dir.join("port");
-    std::fs::create_dir_all(dir).expect("mkdir");
-    let daemon = Daemon::open(cfg(dir)).expect("open");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let daemon = Daemon::open(daemon_cfg).expect("open");
     let pf = port_file.clone();
     let server = std::thread::spawn(move || serve_with(daemon, "127.0.0.1:0", Some(&pf), opts));
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
@@ -846,5 +855,144 @@ fn connection_limit_sheds_with_structured_overload() {
     drop(c2);
     drop(admitted);
     assert_connections_drain();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------
+// Read view: reads never wait out a round
+// ---------------------------------------------------------------------
+
+/// The `(id, state, sims)` rows of a status reply.
+fn status_rows(reply: &str) -> Vec<(String, String, usize)> {
+    use cv_bench::perf::{parse_json, Json};
+    let json = parse_json(reply).expect("json reply");
+    let Some(Json::Arr(jobs)) = json.get("jobs") else {
+        panic!("status reply without jobs: {reply}");
+    };
+    jobs.iter()
+        .map(|j| match (j.get("id"), j.get("state"), j.get("sims")) {
+            (Some(Json::Str(id)), Some(Json::Str(state)), Some(Json::Num(sims))) => {
+                (id.clone(), state.clone(), *sims as usize)
+            }
+            _ => panic!("malformed status row in {reply}"),
+        })
+        .collect()
+}
+
+impl Client {
+    fn status(&mut self, id: Option<&str>) -> String {
+        let req = Request::Status {
+            id: id.map(str::to_string),
+        };
+        self.send_raw(req.render().as_bytes());
+        self.recv().expect("server closed on status")
+    }
+}
+
+/// Reads are answered from the view published after the last completed
+/// round: while a CircuitVAE job's first round (its warm-up training)
+/// is in flight, 20 back-to-back `status` replies all come back showing
+/// the table as it stood before that round.
+#[test]
+fn reads_are_answered_while_a_long_round_runs() {
+    let _net = net_serialize();
+    let dir = base_dir("read_view");
+    let (port, server) = spawn_server(&dir, ServeOptions::default());
+    let mut c = Client::connect(port);
+    let spec = job(Method::CircuitVae, TechLibrary::Nangate45Like, 600, 1);
+    c.expect_ok(&Request::Submit(spec.clone()));
+    // The scheduler is now in the job's first round.
+    let t = std::time::Instant::now();
+    let replies: Vec<_> = (0..20).map(|_| status_rows(&c.status(None))).collect();
+    let reads = t.elapsed();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
+    while status_rows(&c.status(None)) == replies[0] {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the round never ended"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    let round = t.elapsed();
+    assert_eq!(replies[0][0].0, spec.id());
+    assert!(
+        replies.iter().all(|r| *r == replies[0]),
+        "a read waited for the round ({reads:?} for 20 reads, round {round:?}): {replies:?}"
+    );
+    c.expect_ok(&Request::Shutdown);
+    server
+        .join()
+        .expect("server thread")
+        .expect("serve returns cleanly");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A client that got a command's reply sees its effect in its next read.
+#[test]
+fn reads_see_the_effect_of_each_acknowledged_command() {
+    let _net = net_serialize();
+    let dir = base_dir("read_after_command");
+    let (port, server) = spawn_server(&dir, ServeOptions::default());
+    let mut c = Client::connect(port);
+    let spec = job(Method::Sa, TechLibrary::Nangate45Like, 20_000, 3);
+    let id = spec.id();
+    c.expect_ok(&Request::Submit(spec));
+    let rows = status_rows(&c.status(None));
+    assert_eq!(rows.len(), 1);
+    assert_eq!(rows[0].0, id);
+    c.expect_ok(&Request::Pause { id: id.clone() });
+    assert_eq!(status_rows(&c.status(Some(&id)))[0].1, "paused");
+    c.expect_ok(&Request::Cancel { id: id.clone() });
+    let reply = c.status(Some(&id));
+    assert!(
+        reply.contains("\"ok\":false") && reply.contains(&format!("unknown job {id}")),
+        "a cancelled job must be gone from the next read: {reply}"
+    );
+    c.expect_ok(&Request::Shutdown);
+    server
+        .join()
+        .expect("server thread")
+        .expect("serve returns cleanly");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `shutdown` is acknowledged only after every running job is
+/// checkpointed: with periodic checkpoints out of reach, a restart
+/// still resumes the job at least where the last read saw it.
+#[test]
+fn shutdown_checkpoints_running_jobs_before_its_ack() {
+    let _net = net_serialize();
+    let dir = base_dir("shutdown_checkpoint");
+    let daemon_cfg = DaemonConfig {
+        checkpoint_every: usize::MAX,
+        ..cfg(&dir)
+    };
+    let (port, server) = spawn_server_with(daemon_cfg.clone(), ServeOptions::default());
+    let mut c = Client::connect(port);
+    let spec = job(Method::Sa, TechLibrary::Nangate45Like, 20_000, 4);
+    let id = spec.id();
+    c.expect_ok(&Request::Submit(spec));
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    let seen = loop {
+        let row = status_rows(&c.status(Some(&id))).remove(0);
+        assert_eq!(row.1, "running", "the job must still run at shutdown");
+        if row.2 > 0 {
+            break row.2;
+        }
+        assert!(std::time::Instant::now() < deadline, "the job never ran");
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    };
+    c.expect_ok(&Request::Shutdown);
+    server
+        .join()
+        .expect("server thread")
+        .expect("serve returns cleanly");
+    let mut daemon = Daemon::open(daemon_cfg).expect("reopen");
+    let (_, resumed, _) = status_row(&mut daemon, &id);
+    assert!(
+        resumed >= seen,
+        "restart resumed at {resumed} sims, before the {seen} the last read saw"
+    );
+    drop(daemon);
     let _ = std::fs::remove_dir_all(&dir);
 }

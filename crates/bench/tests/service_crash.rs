@@ -300,6 +300,17 @@ fn paused_jobs_survive_kills() {
             }
         }
     }
+    if daemon.is_dead() {
+        // Reads and commands alike get the dead-daemon error.
+        for req in [Request::Status { id: None }, Request::Ping] {
+            match daemon.handle(&req).expect("a dead daemon still answers") {
+                Response::Error { message } => {
+                    assert!(message.contains("daemon is dead"), "{message}")
+                }
+                other => panic!("a dead daemon answered {other:?}"),
+            }
+        }
+    }
     drop(daemon);
     failpoint::disarm();
 

@@ -34,6 +34,8 @@ impl WireModel {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CellLibrary {
     name: String,
+    /// The matrix, densely at [`CellLibrary::slot`]: function-major,
+    /// weakest drive first.
     cells: Vec<Cell>,
     wire: WireModel,
     /// Capacitance presented by a primary output, fF.
@@ -43,7 +45,8 @@ pub struct CellLibrary {
 }
 
 impl CellLibrary {
-    /// Builds a library from parts.
+    /// Builds a library from parts. `cells` may come in any order; the
+    /// library stores them densely so [`CellLibrary::cell`] is an index.
     ///
     /// # Panics
     ///
@@ -56,27 +59,36 @@ impl CellLibrary {
         output_load_ff: f64,
         input_drive_res: f64,
     ) -> Self {
-        let lib = CellLibrary {
-            name: name.into(),
-            cells,
-            wire,
-            output_load_ff,
-            input_drive_res,
-        };
+        let mut dense: Vec<Option<Cell>> = vec![None; Function::ALL.len() * Drive::ALL.len()];
+        let mut found = vec![0usize; dense.len()];
+        for c in cells {
+            let slot = Self::slot(c.function, c.drive);
+            found[slot] += 1;
+            dense[slot] = Some(c);
+        }
         for f in Function::ALL {
             for d in Drive::ALL {
-                let found = lib
-                    .cells
-                    .iter()
-                    .filter(|c| c.function == f && c.drive == d)
-                    .count();
+                let found = found[Self::slot(f, d)];
                 assert_eq!(
                     found, 1,
                     "library must contain exactly one {f}_{d}, found {found}"
                 );
             }
         }
-        lib
+        CellLibrary {
+            name: name.into(),
+            cells: dense.into_iter().flatten().collect(),
+            wire,
+            output_load_ff,
+            input_drive_res,
+        }
+    }
+
+    /// The dense index of `(function, drive)`: `function × 3 + drive`,
+    /// both in declaration order (the order of `ALL`).
+    #[inline]
+    fn slot(function: Function, drive: Drive) -> usize {
+        function as usize * Drive::ALL.len() + drive as usize
     }
 
     /// Library name (e.g. `nangate45-like`).
@@ -85,11 +97,9 @@ impl CellLibrary {
     }
 
     /// Looks up the cell implementing `function` at `drive`.
+    #[inline]
     pub fn cell(&self, function: Function, drive: Drive) -> &Cell {
-        self.cells
-            .iter()
-            .find(|c| c.function == function && c.drive == drive)
-            .expect("library construction guarantees a full matrix")
+        &self.cells[Self::slot(function, drive)]
     }
 
     /// The wire-load model.
@@ -107,7 +117,8 @@ impl CellLibrary {
         self.input_drive_res
     }
 
-    /// All cells (the full matrix), for inspection and reports.
+    /// All cells (the full matrix), function-major with the weakest
+    /// drive first, for inspection and reports.
     pub fn cells(&self) -> &[Cell] {
         &self.cells
     }
@@ -132,14 +143,23 @@ mod tests {
     #[test]
     fn lookup_full_matrix() {
         let lib = nangate45_like();
+        let mut reversed = lib.cells().to_vec();
+        reversed.reverse();
+        let from_reversed = CellLibrary::new("reversed", reversed, *lib.wire(), 3.0, 0.004);
         for f in Function::ALL {
             for d in Drive::ALL {
                 let c = lib.cell(f, d);
                 assert_eq!(c.function, f);
                 assert_eq!(c.drive, d);
                 assert!(c.area_um2 > 0.0 && c.input_cap_ff > 0.0);
+                assert_eq!(from_reversed.cell(f, d), c, "{f}_{d}");
             }
         }
+        assert_eq!(
+            from_reversed.cells(),
+            lib.cells(),
+            "cells() is the dense order"
+        );
     }
 
     #[test]
@@ -148,6 +168,15 @@ mod tests {
         let lib = nangate45_like();
         let mut cells = lib.cells().to_vec();
         cells.pop();
+        let _ = CellLibrary::new("broken", cells, *lib.wire(), 1.0, 0.01);
+    }
+
+    #[test]
+    #[should_panic(expected = "exactly one")]
+    fn duplicate_cell_panics() {
+        let lib = nangate45_like();
+        let mut cells = lib.cells().to_vec();
+        cells.push(cells[4]);
         let _ = CellLibrary::new("broken", cells, *lib.wire(), 1.0, 0.01);
     }
 }

@@ -19,6 +19,9 @@ pub enum CheckpointError {
     BadMagic,
     /// The byte stream ended prematurely or has inconsistent lengths.
     Truncated,
+    /// A parameter count, rank or shape claims more data than the
+    /// remaining bytes can hold (or than `usize` can count).
+    Oversized,
 }
 
 impl fmt::Display for CheckpointError {
@@ -26,6 +29,9 @@ impl fmt::Display for CheckpointError {
         match self {
             CheckpointError::BadMagic => write!(f, "not a cv-nn checkpoint (bad magic)"),
             CheckpointError::Truncated => write!(f, "checkpoint data truncated or inconsistent"),
+            CheckpointError::Oversized => {
+                write!(f, "checkpoint length field exceeds the data it describes")
+            }
         }
     }
 }
@@ -39,7 +45,7 @@ struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
-        if self.pos + n > self.buf.len() {
+        if n > self.buf.len() - self.pos {
             return Err(CheckpointError::Truncated);
         }
         let s = &self.buf[self.pos..self.pos + n];
@@ -52,8 +58,19 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
     }
 
+    /// A u64 count of items that take at least `item_bytes` each,
+    /// rejected unless the remaining bytes could hold that many.
+    fn count(&mut self, item_bytes: usize) -> Result<usize, CheckpointError> {
+        let n = self.u64()?;
+        usize::try_from(n)
+            .ok()
+            .filter(|&n| n <= (self.buf.len() - self.pos) / item_bytes)
+            .ok_or(CheckpointError::Oversized)
+    }
+
     fn f32s(&mut self, count: usize) -> Result<Vec<f32>, CheckpointError> {
-        let b = self.take(count * 4)?;
+        let bytes = count.checked_mul(4).ok_or(CheckpointError::Oversized)?;
+        let b = self.take(bytes)?;
         Ok(b.chunks_exact(4)
             .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
             .collect())
@@ -71,7 +88,10 @@ fn put_tensor(out: &mut Vec<u8>, t: &Tensor) {
 }
 
 fn read_tensor(r: &mut Reader<'_>, shape: &[usize]) -> Result<Tensor, CheckpointError> {
-    let numel: usize = shape.iter().product();
+    let numel = shape
+        .iter()
+        .try_fold(1usize, |n, &d| n.checked_mul(d))
+        .ok_or(CheckpointError::Oversized)?;
     Ok(Tensor::new(shape.to_vec(), r.f32s(numel)?))
 }
 
@@ -96,24 +116,31 @@ impl ParamStore {
     }
 
     /// Restores a store from bytes produced by [`ParamStore::to_bytes`].
+    /// Any input, hostile ones included, decodes to `Ok` or an error:
+    /// every length field is checked against the bytes that remain
+    /// before anything is allocated for it.
     ///
     /// # Errors
     ///
-    /// Returns [`CheckpointError`] for wrong magic or truncated data.
+    /// Returns [`CheckpointError`] for wrong magic, truncated data, or a
+    /// length field larger than the data it describes.
     pub fn from_bytes(bytes: &[u8]) -> Result<ParamStore, CheckpointError> {
         let mut r = Reader { buf: bytes, pos: 0 };
         if r.take(8)? != MAGIC {
             return Err(CheckpointError::BadMagic);
         }
         let steps = r.u64()?;
-        let count = r.u64()? as usize;
+        // Each parameter takes at least its 8-byte rank; each dimension
+        // its 8-byte extent.
+        let count = r.count(8)?;
         let mut store = ParamStore::new();
         let mut restored = Vec::with_capacity(count);
         for _ in 0..count {
-            let rank = r.u64()? as usize;
+            let rank = r.count(8)?;
             let mut shape = Vec::with_capacity(rank);
             for _ in 0..rank {
-                shape.push(r.u64()? as usize);
+                let d = r.u64()?;
+                shape.push(usize::try_from(d).map_err(|_| CheckpointError::Oversized)?);
             }
             let value = read_tensor(&mut r, &shape)?;
             let m = read_tensor(&mut r, &shape)?;
@@ -218,5 +245,54 @@ mod tests {
         );
         bytes.extend_from_slice(&[0u8; 64]);
         assert!(ParamStore::from_bytes(&bytes).is_err());
+    }
+
+    /// A checkpoint header (magic, zero steps) followed by `fields`.
+    fn hostile(fields: &[u64]) -> Vec<u8> {
+        let mut out = MAGIC.to_vec();
+        put_u64(&mut out, 0);
+        for &f in fields {
+            put_u64(&mut out, f);
+        }
+        out
+    }
+
+    #[test]
+    fn huge_param_count_is_an_error() {
+        let bytes = hostile(&[1 << 40]);
+        assert_eq!(
+            ParamStore::from_bytes(&bytes).unwrap_err(),
+            CheckpointError::Oversized
+        );
+    }
+
+    #[test]
+    fn huge_rank_is_an_error() {
+        let bytes = hostile(&[1, 1 << 40]);
+        assert_eq!(
+            ParamStore::from_bytes(&bytes).unwrap_err(),
+            CheckpointError::Oversized
+        );
+    }
+
+    #[test]
+    fn overflowing_shape_is_an_error() {
+        let bytes = hostile(&[1, 2, 1 << 32, 1 << 32]);
+        assert_eq!(
+            ParamStore::from_bytes(&bytes).unwrap_err(),
+            CheckpointError::Oversized
+        );
+    }
+
+    #[test]
+    fn single_bit_flips_decode_without_panicking() {
+        let bytes = trained_store().to_bytes();
+        let mut flipped = bytes.clone();
+        for bit in 0..bytes.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            // Ok (a flipped value or step count) or a typed error.
+            let _ = ParamStore::from_bytes(&flipped);
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
     }
 }

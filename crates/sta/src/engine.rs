@@ -77,6 +77,11 @@ pub struct TimingEngine {
     /// Dirty-gate worklist, bucketed by level.
     buckets: Vec<Vec<u32>>,
     dirty: Vec<bool>,
+    /// Undo log of the latest `set_drive` or `set_input_arrival`: every
+    /// `(net, old value)` it overwrote in `loads` and in `arrival`,
+    /// oldest first.
+    undo_loads: Vec<(NetId, f64)>,
+    undo_arrivals: Vec<(NetId, f64)>,
     /// Scratch reused across rebuilds.
     fanout_scratch: Vec<usize>,
     indeg_scratch: Vec<u32>,
@@ -239,6 +244,8 @@ impl TimingEngine {
         gid: GateId,
         drive: Drive,
     ) {
+        self.undo_loads.clear();
+        self.undo_arrivals.clear();
         if netlist.drive(gid) == drive {
             return;
         }
@@ -256,12 +263,14 @@ impl TimingEngine {
             if new_load.to_bits() == self.loads[net].to_bits() {
                 continue;
             }
+            self.undo_loads.push((net, self.loads[net]));
             self.loads[net] = new_load;
             match netlist.driver(net) {
                 Driver::Gate(src) => self.mark(src),
                 Driver::Input { bit } => {
                     let at = self.arrival_of(bit) + lib.input_drive_res() * new_load;
                     if at.to_bits() != self.arrival[net].to_bits() {
+                        self.undo_arrivals.push((net, self.arrival[net]));
                         self.arrival[net] = at;
                         self.mark_sinks(net);
                     }
@@ -270,6 +279,32 @@ impl TimingEngine {
         }
         self.mark(gid);
         self.propagate(netlist, lib);
+    }
+
+    /// The effective delay `netlist` would have with `gid` at `drive`,
+    /// leaving the engine and `netlist` bit for bit as they were: the
+    /// resize is applied and propagated exactly as [`Self::set_drive`]
+    /// does, the delay is read, and the undo log of every overwritten
+    /// load and arrival is replayed in reverse. This is a sizing trial
+    /// at the cost of one cone propagation instead of two.
+    pub fn try_drive(
+        &mut self,
+        netlist: &mut Netlist,
+        lib: &CellLibrary,
+        gid: GateId,
+        drive: Drive,
+    ) -> EffectiveDelay {
+        let old = netlist.drive(gid);
+        self.set_drive(netlist, lib, gid, drive);
+        let eff = self.delay(netlist);
+        for (net, at) in self.undo_arrivals.drain(..).rev() {
+            self.arrival[net] = at;
+        }
+        for (net, load) in self.undo_loads.drain(..).rev() {
+            self.loads[net] = load;
+        }
+        netlist.set_drive(gid, old);
+        eff
     }
 
     /// Overwrites the arrival time of input `bit` and re-propagates its
@@ -281,11 +316,14 @@ impl TimingEngine {
         bit: usize,
         arrival_ns: f64,
     ) {
+        self.undo_loads.clear();
+        self.undo_arrivals.clear();
         self.io.arrival[bit] = arrival_ns;
         for net in 0..netlist.net_count() {
             if netlist.driver(net) == (Driver::Input { bit }) {
                 let at = arrival_ns + lib.input_drive_res() * self.loads[net];
                 if at.to_bits() != self.arrival[net].to_bits() {
+                    self.undo_arrivals.push((net, self.arrival[net]));
                     self.arrival[net] = at;
                     self.mark_sinks(net);
                 }
@@ -434,6 +472,7 @@ impl TimingEngine {
                     .fold(f64::NEG_INFINITY, f64::max);
                 let at = worst_in + cell.delay_ns(self.loads[g.output]);
                 if at.to_bits() != self.arrival[g.output].to_bits() {
+                    self.undo_arrivals.push((g.output, self.arrival[g.output]));
                     self.arrival[g.output] = at;
                     self.mark_sinks(g.output);
                 }
@@ -493,13 +532,34 @@ mod tests {
         let mut engine = TimingEngine::new();
         engine.rebuild(&nl, &lib, &io);
         // Walk the critical path up and down a few times, checking parity
-        // after every single mutation (the sizing access pattern).
+        // after every single mutation (the sizing access pattern). Before
+        // each mutation, trial every drive of the gate: a trial must see
+        // the full pass's delay for that drive and leave no trace.
         let mut path = Vec::new();
         for round in 0..4 {
             engine.critical_gates_into(&nl, &mut path);
             let gates = path.clone();
             for gid in gates {
                 let old = nl.drive(gid);
+                for drive in Drive::ALL {
+                    let before = engine.report(&nl);
+                    let trial = engine.try_drive(&mut nl, &lib, gid, drive);
+                    let mut sized = nl.clone();
+                    sized.set_drive(gid, drive);
+                    let full = analyze(&sized, &lib, &io);
+                    assert_eq!(trial.delay_ns.to_bits(), full.delay_ns.to_bits());
+                    assert_eq!(trial.critical_output_bit, full.critical_output_bit);
+                    assert_eq!(nl.drive(gid), old, "trial left the drive changed");
+                    let after = engine.report(&nl);
+                    assert_eq!(before.delay_ns.to_bits(), after.delay_ns.to_bits());
+                    assert_eq!(before.critical_path, after.critical_path);
+                    for (a, b) in before.net_arrival_ns.iter().zip(&after.net_arrival_ns) {
+                        assert_eq!(a.to_bits(), b.to_bits(), "trial left an arrival");
+                    }
+                    for (a, b) in engine.loads.iter().zip(&nl.net_loads_ff(&lib)) {
+                        assert_eq!(a.to_bits(), b.to_bits(), "trial left a load");
+                    }
+                }
                 let Some(bigger) = old.upsized() else {
                     continue;
                 };

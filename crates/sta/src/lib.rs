@@ -26,7 +26,7 @@ mod engine;
 pub use engine::{EffectiveDelay, TimingEngine};
 
 use cv_cells::CellLibrary;
-use cv_netlist::{Driver, GateId, NetId, Netlist};
+use cv_netlist::{Driver, GateId, Netlist};
 use serde::{Deserialize, Serialize};
 
 /// Per-bit IO timing constraints.
@@ -127,10 +127,9 @@ pub fn analyze(netlist: &Netlist, lib: &CellLibrary, io: &IoTiming) -> TimingRep
     let mut consumers: Vec<Vec<GateId>> = vec![Vec::new(); nets];
     for (gid, g) in netlist.iter_gates().enumerate() {
         for &i in g.inputs {
-            if let Driver::Gate(src) = netlist.driver(i) {
+            if matches!(netlist.driver(i), Driver::Gate(_)) {
                 indeg[gid] += 1;
                 consumers[i].push(gid);
-                let _ = src;
             }
         }
     }
@@ -230,43 +229,6 @@ pub fn analyze(netlist: &Netlist, lib: &CellLibrary, io: &IoTiming) -> TimingRep
 /// Finds the gate ids lying on the critical path (excluding the launch).
 pub fn critical_gates(report: &TimingReport) -> Vec<GateId> {
     report.critical_path.iter().filter_map(|s| s.gate).collect()
-}
-
-/// Computes per-net slack-like criticality: how close each net's arrival
-/// is to the worst effective delay, in ns (0 = on the critical envelope).
-/// Used by the sizing pass to prioritize work.
-pub fn criticality(report: &TimingReport, netlist: &Netlist, io: &IoTiming) -> Vec<f64> {
-    let mut worst_downstream = vec![f64::NEG_INFINITY; netlist.net_count()];
-    for o in netlist.outputs() {
-        let eff = report.net_arrival_ns[o.net] + io.offset_of(o.bit);
-        if eff > worst_downstream[o.net] {
-            worst_downstream[o.net] = eff;
-        }
-    }
-    let _ = worst_downstream;
-    // Simple proxy: slack = delay - arrival (nets arriving late are
-    // critical). A full required-time backward pass is unnecessary for
-    // the greedy sizing heuristic.
-    report
-        .net_arrival_ns
-        .iter()
-        .map(|&at| {
-            if at.is_finite() {
-                (report.delay_ns - at).max(0.0)
-            } else {
-                f64::INFINITY
-            }
-        })
-        .collect()
-}
-
-/// Convenience: returns `(net, arrival)` for each primary output.
-pub fn output_arrivals(report: &TimingReport, netlist: &Netlist) -> Vec<(NetId, f64)> {
-    netlist
-        .outputs()
-        .iter()
-        .map(|o| (o.net, report.net_arrival_ns[o.net]))
-        .collect()
 }
 
 #[cfg(test)]
@@ -416,24 +378,6 @@ mod tests {
         let after = analyze(&nl, &lib, &IoTiming::uniform(1)).delay_ns;
         assert!(after.is_finite() && before.is_finite());
         assert_ne!(before, after);
-    }
-
-    #[test]
-    fn criticality_zero_on_critical_output() {
-        let lib = lib();
-        let nl = map_adder(&topologies::sklansky(8).to_graph(), &lib);
-        let io = IoTiming::uniform(8);
-        let r = analyze(&nl, &lib, &io);
-        let crit = criticality(&r, &nl, &io);
-        let min = crit
-            .iter()
-            .cloned()
-            .filter(|c| c.is_finite())
-            .fold(f64::INFINITY, f64::min);
-        assert!(
-            min.abs() < 1e-9,
-            "some net must sit on the critical envelope"
-        );
     }
 
     #[test]

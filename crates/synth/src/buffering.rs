@@ -15,6 +15,10 @@ use cv_netlist::Netlist;
 pub fn buffer_high_fanout(netlist: &mut Netlist, _lib: &CellLibrary, max_fanout: usize) -> usize {
     assert!(max_fanout >= 2, "max_fanout must be at least 2");
     let mut inserted = 0usize;
+    // Per-net sink lists in one flat arena: after the fill below, net
+    // `n`'s sinks are `sinks[ends[n - 1]..ends[n]]` (from 0 for net 0).
+    let mut ends: Vec<usize> = Vec::new();
+    let mut sinks: Vec<(usize, usize)> = Vec::new();
     loop {
         let mut changed = false;
         // One O(gates·pins) pass builds every net's sink list in the same
@@ -24,13 +28,30 @@ pub fn buffer_high_fanout(netlist: &mut Netlist, _lib: &CellLibrary, max_fanout:
         // processed (the new buffer consumes it, its moved sinks now
         // consume a brand-new net), so the prebuilt lists of the
         // *remaining* nets stay exact.
-        let mut sinks: Vec<Vec<(usize, usize)>> = vec![Vec::new(); netlist.net_count()];
-        for (gid, g) in netlist.iter_gates().enumerate() {
-            for (pin, &i) in g.inputs.iter().enumerate() {
-                sinks[i].push((gid, pin));
+        let nets = netlist.net_count();
+        ends.clear();
+        ends.resize(nets + 1, 0);
+        for g in netlist.iter_gates() {
+            for &i in g.inputs {
+                ends[i + 1] += 1;
             }
         }
-        for (net, net_sinks) in sinks.iter().enumerate() {
+        for n in 0..nets {
+            ends[n + 1] += ends[n];
+        }
+        // `ends[n]` starts as net `n`'s first slot and is bumped past
+        // each sink written, ending as its end (net `n + 1`'s start).
+        sinks.clear();
+        sinks.resize(ends[nets], (0, 0));
+        for (gid, g) in netlist.iter_gates().enumerate() {
+            for (pin, &i) in g.inputs.iter().enumerate() {
+                sinks[ends[i]] = (gid, pin);
+                ends[i] += 1;
+            }
+        }
+        for net in 0..nets {
+            let start = if net == 0 { 0 } else { ends[net - 1] };
+            let net_sinks = &sinks[start..ends[net]];
             if net_sinks.len() <= max_fanout {
                 continue;
             }

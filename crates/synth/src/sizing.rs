@@ -61,11 +61,19 @@ pub fn size_gates(
 }
 
 /// Delta-STA twin of [`size_gates`]: the same greedy loop, with every
-/// per-trial full re-analysis replaced by an incremental cone update on
-/// `engine`. Because [`TimingEngine`] is bit-for-bit equal to
-/// [`analyze`], this makes *exactly* the same sequence of sizing
-/// decisions — "Contract 6" in `DESIGN.md` — while doing only
-/// cone-of-influence work per trial.
+/// per-trial full re-analysis replaced by an undo-logged cone trial on
+/// `engine` ([`TimingEngine::try_drive`]). Because [`TimingEngine`] is
+/// bit-for-bit equal to [`analyze`], this makes *exactly* the same
+/// sequence of sizing decisions — "Contract 6" in `DESIGN.md` — while
+/// doing only cone-of-influence work per trial.
+///
+/// A trial's area is summed only when the move could still win. With
+/// `0 ≤ ω ≤ 1` and a trial cell at least as large as the old one, the
+/// score is non-decreasing in the area (an ordered f64 sum never drops
+/// when one of its terms grows), so the gain computed with the *current*
+/// area bounds the true gain from above; a trial whose bound does not
+/// beat the best gain so far cannot be chosen. Outside those conditions
+/// every trial is summed exactly.
 ///
 /// `engine` is rebuilt for `netlist` on entry; `path` is caller-provided
 /// scratch so a hot evaluation loop stays allocation-free. Returns
@@ -80,23 +88,33 @@ pub fn size_gates_incremental(
     path: &mut Vec<GateId>,
 ) -> (usize, f64) {
     engine.rebuild(netlist, lib, io);
+    let score = |delay_ns: f64, area_um2: f64| {
+        delay_weight * 10.0 * delay_ns + (1.0 - delay_weight) * area_um2 / 100.0
+    };
+    let weight_bounds = (0.0..=1.0).contains(&delay_weight);
     let mut delay_ns = engine.delay(netlist).delay_ns;
     let mut moves = 0usize;
     while moves < max_moves {
         engine.critical_gates_into(netlist, path);
         let mut best: Option<(GateId, cv_cells::Drive, f64)> = None;
-        let current_score =
-            delay_weight * 10.0 * delay_ns + (1.0 - delay_weight) * netlist.area_um2(lib) / 100.0;
+        let area = netlist.area_um2(lib);
+        let current_score = score(delay_ns, area);
         for &gid in path.iter() {
             let old_drive = netlist.drive(gid);
             let Some(bigger) = old_drive.upsized() else {
                 continue;
             };
-            engine.set_drive(netlist, lib, gid, bigger);
-            let trial_score = delay_weight * 10.0 * engine.delay(netlist).delay_ns
-                + (1.0 - delay_weight) * netlist.area_um2(lib) / 100.0;
-            let gain = current_score - trial_score;
-            engine.set_drive(netlist, lib, gid, old_drive);
+            let trial_delay = engine.try_drive(netlist, lib, gid, bigger).delay_ns;
+            let function = netlist.function(gid);
+            let bounded = weight_bounds
+                && lib.cell(function, bigger).area_um2 >= lib.cell(function, old_drive).area_um2;
+            let to_beat = best.map_or(1e-9, |(_, _, g)| g);
+            if bounded && current_score - score(trial_delay, area) <= to_beat {
+                continue;
+            }
+            netlist.set_drive(gid, bigger);
+            let gain = current_score - score(trial_delay, netlist.area_um2(lib));
+            netlist.set_drive(gid, old_drive);
             if gain > 1e-9
                 && match best {
                     None => true,
@@ -121,7 +139,7 @@ pub fn size_gates_incremental(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cv_cells::nangate45_like;
+    use cv_cells::{nangate45_like, scaled_8nm_like, Cell, Drive};
     use cv_netlist::map_adder;
     use cv_prefix::topologies;
 
@@ -169,20 +187,51 @@ mod tests {
 
     #[test]
     fn incremental_sizer_makes_identical_decisions() {
-        let lib = nangate45_like();
-        for w in [0.05, 0.66, 0.95] {
-            let graph = topologies::sklansky(16).to_graph();
-            let mut reference = map_adder(&graph, &lib);
-            let mut incremental = map_adder(&graph, &lib);
-            let io = IoTiming::uniform(16);
-            let (ref_moves, ref_report) = size_gates(&mut reference, &lib, &io, w, 50);
-            let mut engine = TimingEngine::new();
-            let mut path = Vec::new();
-            let (inc_moves, inc_delay) =
-                size_gates_incremental(&mut incremental, &lib, &io, w, 50, &mut engine, &mut path);
-            assert_eq!(ref_moves, inc_moves, "ω={w}");
-            assert_eq!(ref_report.delay_ns.to_bits(), inc_delay.to_bits(), "ω={w}");
-            assert_eq!(reference, incremental, "ω={w}: different drives chosen");
+        // A library whose upsized cells are *smaller* than the X1 cells,
+        // and weights outside [0, 1], take the exact-area fallback.
+        let n45 = nangate45_like();
+        let shrinking = CellLibrary::new(
+            "shrinking",
+            n45.cells()
+                .iter()
+                .map(|c| Cell {
+                    area_um2: n45.cell(c.function, Drive::X1).area_um2 / c.drive.factor(),
+                    ..*c
+                })
+                .collect(),
+            *n45.wire(),
+            n45.output_load_ff(),
+            n45.input_drive_res(),
+        );
+        let mut engine = TimingEngine::new();
+        let mut path = Vec::new();
+        for lib in [n45, scaled_8nm_like(), shrinking] {
+            for width in [16, 32] {
+                let graph = topologies::sklansky(width).to_graph();
+                for io in [
+                    IoTiming::uniform(width),
+                    IoTiming::datapath_profile(width, 0.1),
+                ] {
+                    for w in [0.0, 0.05, 0.66, 0.95, 1.0, -0.5, 1.5] {
+                        let at = format!("{} w{width} ω={w}", lib.name());
+                        let mut reference = map_adder(&graph, &lib);
+                        let mut incremental = map_adder(&graph, &lib);
+                        let (ref_moves, ref_report) = size_gates(&mut reference, &lib, &io, w, 50);
+                        let (inc_moves, inc_delay) = size_gates_incremental(
+                            &mut incremental,
+                            &lib,
+                            &io,
+                            w,
+                            50,
+                            &mut engine,
+                            &mut path,
+                        );
+                        assert_eq!(ref_moves, inc_moves, "{at}");
+                        assert_eq!(ref_report.delay_ns.to_bits(), inc_delay.to_bits(), "{at}");
+                        assert_eq!(reference, incremental, "{at}: different drives chosen");
+                    }
+                }
+            }
         }
     }
 
