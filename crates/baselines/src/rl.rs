@@ -500,7 +500,7 @@ impl Checkpointable for RlDriver<StdRng> {
             actions,
             &mut StdRng::seed_from_u64(0),
         );
-        if scratch.len() != store.len() {
+        if !scratch.same_layout(&store) || !scratch.same_layout(&target_store) {
             return Err(CkptError::Invalid("param store layout"));
         }
         Ok(RlDriver {
@@ -555,6 +555,23 @@ mod tests {
         assert!(ev.counter().count() <= 80);
         assert!(out.best_cost.is_finite());
         assert!(out.best_grid.is_some());
+    }
+
+    #[test]
+    fn checkpoint_with_a_foreign_target_store_is_rejected() {
+        let config = |hidden| RlConfig {
+            hidden,
+            ..RlConfig::default()
+        };
+        let mut driver = RlDriver::new(8, config(16), 40, 1);
+        assert!(RlDriver::load(&driver.save()).is_ok());
+        // Same parameter count, other shapes: a later target-network
+        // forward pass would panic in a matmul.
+        driver.target_store = RlDriver::new(8, config(12), 40, 1).target_store;
+        assert!(matches!(
+            RlDriver::load(&driver.save()),
+            Err(CkptError::Invalid(_))
+        ));
     }
 
     #[test]

@@ -1,15 +1,18 @@
 //! The **campaign** orchestrator binary: a method×seed×width×tech grid
 //! executed on the persistent driver pool, with per-round JSONL
-//! telemetry, periodic checkpoints, and bit-exact resume.
+//! telemetry, periodic journaled checkpoints, and bit-exact resume.
 //!
-//! Every task runs its method through the step-based `SearchDriver`
-//! engine; the campaign checkpoints each task every few simulations and
-//! can be killed (or stopped deterministically with `--halt-after N`)
-//! and re-run with the same `--dir` to continue exactly where it
-//! stopped — the final JSONL/CSV outputs byte-match an uninterrupted
-//! run (Contract 8; the CI campaign-smoke job enforces it).
+//! Every task is a `JobSpec` (an adder at ω = 0.66) and runs its method
+//! through the step-based `SearchDriver` engine; the campaign
+//! checkpoints each task every few simulations and can be killed (or
+//! stopped deterministically with `--halt-after N`) and re-run with the
+//! same `--dir` to continue exactly where it stopped — the final
+//! JSONL/CSV outputs byte-match an uninterrupted run (Contract 8; the
+//! CI `crash-smoke` job enforces it).
 //!
-//! Emits under the campaign directory (default `results/campaign/`):
+//! Emits under the campaign directory (default `results/campaign/`),
+//! with `<task>` the spec's id — the same stem `campaignd` gives it:
+//! * `<task>.journal` — the task's event journal (its resume source),
 //! * `<task>.jsonl` — per-round telemetry `{task, round, sims, best}`,
 //! * `<task>.done`  — binary outcome + frontier archive,
 //! * `campaign_summary.csv` — one row per task (written on completion).
@@ -25,10 +28,9 @@
 //! byte-identical to an uninterrupted run; the CI `crash-smoke` job
 //! cycles several such kill points and `diff -r`s the directories.
 
-use cv_bench::campaign::{
-    run_campaign, summary_csv, CampaignConfig, CampaignTask, JOURNAL_MAX_BYTES,
-};
-use cv_bench::harness::{results_dir, ExperimentSpec, Method, Scale, TechLibrary};
+use cv_bench::campaign::{run_campaign, summary_csv, CampaignConfig, JobSpec, JOURNAL_MAX_BYTES};
+use cv_bench::harness::{results_dir, Method, Scale, TechLibrary};
+use cv_bench::service::protocol::tech_slug;
 use cv_prefix::CircuitKind;
 use std::path::PathBuf;
 
@@ -100,12 +102,13 @@ fn main() {
                 .max(40.0) as usize;
             for &method in &methods {
                 for s in 0..seeds as u64 {
-                    let mut spec =
-                        ExperimentSpec::standard(width, CircuitKind::Adder, 0.66, budget);
-                    spec.tech = tech;
-                    tasks.push(CampaignTask {
+                    tasks.push(JobSpec {
                         method,
-                        spec,
+                        kind: CircuitKind::Adder,
+                        width,
+                        tech,
+                        delay_weight: 0.66,
+                        budget,
                         seed: 1000 + s,
                     });
                 }
@@ -114,7 +117,7 @@ fn main() {
     }
 
     let cfg = CampaignConfig {
-        dir: Some(dir.clone()),
+        dir: dir.clone(),
         checkpoint_every: match scale {
             Scale::Smoke => 10,
             Scale::Default | Scale::Paper => 50,
@@ -148,15 +151,11 @@ fn main() {
     );
     for (task, result) in tasks.iter().zip(&results) {
         let r = result.as_ref().expect("campaign completed");
-        let tech = match task.spec.tech {
-            TechLibrary::Nangate45Like => "nangate45",
-            TechLibrary::Scaled8nmLike => "scaled8nm",
-        };
         let sims = r.outcome.history.last().map_or(0, |&(s, _)| s);
         println!(
             "{:>10} {:>5} {:>12} {:>6} {:>6} {:>12.4} {:>6}",
-            tech,
-            task.spec.width,
+            tech_slug(task.tech),
+            task.width,
             task.method.label(),
             task.seed,
             sims,

@@ -1,87 +1,59 @@
 //! The resumable campaign orchestrator: method×seed×width×tech grids
 //! executed on the process-wide [`cv_pool::WorkerPool`], with per-round
-//! JSONL telemetry and on-disk checkpoints that make an interrupted
+//! JSONL telemetry and durable checkpoints that make an interrupted
 //! campaign resume bit-for-bit (Contract 8, DESIGN.md §7).
 //!
-//! Campaign tasks are coarse and independent (each owns its evaluator,
-//! archive, and on-disk files), so they ride the pool's *dynamic*
-//! assignment: scheduling balances load without influencing any result.
+//! A campaign task is a [`JobSpec`] — the same description a `campaignd`
+//! job submits — so a spec leaves the same files under the same stem
+//! ([`JobSpec::id`]) whichever front end runs it. Tasks are coarse and
+//! independent (each owns its evaluator, archive, and on-disk files),
+//! so they ride the pool's *dynamic* assignment: scheduling balances
+//! load without influencing any result.
 //!
 //! Each task runs one `MethodDriver` through the shared
 //! `crate::persist::RunningTask` step engine — the same engine the
 //! `campaignd` service (DESIGN.md §10) interleaves across jobs. Every
-//! `checkpoint_every` simulations the engine atomically persists
+//! `checkpoint_every` simulations the engine appends a full resume
+//! snapshot (driver state + evaluator snapshot + archive + telemetry
+//! lines so far) to the task journal `<id>.journal`, then rewrites the
+//! telemetry stream `<id>.jsonl` up to the checkpoint.
 //!
-//! * `<id>.ckpt` — driver state + evaluator snapshot + archive +
-//!   telemetry lines emitted so far,
-//! * `<id>.jsonl` — the telemetry stream up to the checkpoint.
-//!
-//! On completion the engine writes `<id>.done` (outcome + archive
-//! bytes), finalizes the JSONL, and removes the checkpoint. A re-run of
-//! the same campaign directory skips `.done` tasks, resumes `.ckpt`
-//! tasks from their snapshot, and starts the rest fresh — so after a
-//! kill (or a deterministic `halt_after` stop) the final outputs
-//! byte-match an uninterrupted run; the CI campaign-smoke job enforces
-//! exactly that.
+//! On completion the engine rotates the journal down to one *completed*
+//! record and writes the final `<id>.jsonl` and `<id>.done` (outcome +
+//! archive bytes). A re-run of the same campaign directory skips
+//! `.done` tasks, resumes the rest from their journal's latest
+//! checkpoint (or starts them fresh) — so after a kill (or a
+//! deterministic `halt_after` stop) the final outputs byte-match an
+//! uninterrupted run; the CI `crash-smoke` job enforces exactly that.
 //!
 //! **Durability (Contract 10, DESIGN.md §9).** Every persistent
 //! artifact flows through the audited write path in [`cv_journal::fs`]
 //! (unique staging names, fsync before rename, parent-directory sync),
-//! and each task additionally records its life in an append-only
-//! checksummed [`cv_journal::Journal`] (`<id>.journal`): *started*,
-//! *simulated-N* + *checkpointed* at every checkpoint, *completed* (the
-//! final result and telemetry bytes) at the end, when the segment is
-//! atomically rotated down to that single record. Recovery replays the
-//! journal's durable prefix: a torn tail is truncated, a corrupt or
-//! truncated `.done`/`.ckpt` is logged and treated as absent (never a
-//! panic), and a crash that landed after the *completed* record but
-//! before the result files heals the files from the journal — so every
-//! injected crash point resumes to byte-identical outputs. The
-//! fault-injection proptests in `tests/crash_recovery.rs` and the CI
-//! `crash-smoke` job (`CV_FAILPOINT`) pin exactly that.
+//! and each task records its life in an append-only checksummed
+//! [`cv_journal::Journal`]: *started*, *simulated-N* + *checkpointed*
+//! at every checkpoint, *completed* (the final result and telemetry
+//! bytes) at the end. The journal is the only resume source. Recovery
+//! replays its durable prefix: a torn tail is truncated, a corrupt or
+//! truncated `.done` is logged and treated as absent (never a panic),
+//! and a crash that landed after the *completed* record but before the
+//! result files heals the files from the journal — so every injected
+//! crash point resumes to byte-identical outputs. The fault-injection
+//! proptests in `tests/crash_recovery.rs` and the CI `crash-smoke` job
+//! (`CV_FAILPOINT`) pin exactly that.
 
-use crate::harness::{ExperimentSpec, Method, TechLibrary};
-use crate::persist::{OpenedTask, RunningTask, TaskStep};
+use crate::persist::{tech_slug, OpenedTask, RunningTask, TaskStep};
 use cv_journal::{failpoint, fs};
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-pub use crate::persist::TaskResult;
-
-/// One unit of a campaign grid.
-#[derive(Debug, Clone)]
-pub struct CampaignTask {
-    /// The search method.
-    pub method: Method,
-    /// The experiment setting (width, tech, ω, budget).
-    pub spec: ExperimentSpec,
-    /// The method seed.
-    pub seed: u64,
-}
-
-impl CampaignTask {
-    /// The task's stable identifier — the stem of its on-disk files.
-    pub fn id(&self) -> String {
-        let tech = match self.spec.tech {
-            TechLibrary::Nangate45Like => "nangate45",
-            TechLibrary::Scaled8nmLike => "scaled8nm",
-        };
-        format!(
-            "{tech}_w{}_{}_s{}",
-            self.spec.width,
-            self.method.label().to_lowercase().replace('-', ""),
-            self.seed
-        )
-    }
-}
+pub use crate::persist::{JobSpec, TaskResult};
 
 /// Campaign execution policy.
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
-    /// Where checkpoints/telemetry/results live; `None` disables
-    /// persistence (pure in-memory pool run).
-    pub dir: Option<PathBuf>,
+    /// Where journals, telemetry and results live.
+    pub dir: PathBuf,
     /// Simulations between checkpoints.
     pub checkpoint_every: usize,
     /// Worker threads of the persistent pool.
@@ -100,20 +72,6 @@ pub struct CampaignConfig {
 /// Default journal segment cap (see
 /// [`CampaignConfig::journal_max_bytes`]).
 pub const JOURNAL_MAX_BYTES: u64 = 1 << 20;
-
-impl CampaignConfig {
-    /// An in-memory configuration (no persistence) with `threads`
-    /// workers.
-    pub fn in_memory(threads: usize) -> Self {
-        CampaignConfig {
-            dir: None,
-            checkpoint_every: usize::MAX,
-            threads,
-            halt_after: None,
-            journal_max_bytes: JOURNAL_MAX_BYTES,
-        }
-    }
-}
 
 /// Shared halt bookkeeping: counts checkpoint writes and flips the halt
 /// flag once the configured limit is reached.
@@ -156,13 +114,11 @@ impl HaltState {
 /// armed [`failpoint`] in `Error` mode, which the campaign treats as a
 /// process death.
 fn run_task(
-    task: &CampaignTask,
+    task: &JobSpec,
     cfg: &CampaignConfig,
     halt: &HaltState,
 ) -> io::Result<Option<TaskResult>> {
-    let id = task.id();
-    let mut running = match RunningTask::open(task, id, cfg.dir.as_deref(), cfg.journal_max_bytes)?
-    {
+    let mut running = match RunningTask::open(task, &cfg.dir, cfg.journal_max_bytes)? {
         OpenedTask::Done(result) => return Ok(Some(result)),
         OpenedTask::Run(running) => running,
     };
@@ -188,14 +144,11 @@ fn run_task(
 /// task, in task order; `None` marks tasks interrupted by
 /// [`CampaignConfig::halt_after`] (resume by re-running with the same
 /// directory) or never started before the halt.
-pub fn run_campaign(tasks: &[CampaignTask], cfg: &CampaignConfig) -> Vec<Option<TaskResult>> {
-    if let Some(dir) = &cfg.dir {
-        std::fs::create_dir_all(dir).expect("campaign dir must be creatable");
-        // Recovery step zero: staging files orphaned by a kill are
-        // noise the directory must shed before it can byte-match a
-        // clean run.
-        fs::sweep_tmp(dir).expect("campaign dir must be sweepable");
-    }
+pub fn run_campaign(tasks: &[JobSpec], cfg: &CampaignConfig) -> Vec<Option<TaskResult>> {
+    std::fs::create_dir_all(&cfg.dir).expect("campaign dir must be creatable");
+    // Recovery step zero: staging files orphaned by a kill are noise the
+    // directory must shed before it can byte-match a clean run.
+    fs::sweep_tmp(&cfg.dir).expect("campaign dir must be sweepable");
     let halt = HaltState::new(cfg.halt_after);
     let results: Vec<parking_lot::Mutex<Option<TaskResult>>> = tasks
         .iter()
@@ -226,18 +179,15 @@ pub fn run_campaign(tasks: &[CampaignTask], cfg: &CampaignConfig) -> Vec<Option<
 /// # Panics
 ///
 /// Panics when any task is incomplete; callers gate on completeness.
-pub fn summary_csv(tasks: &[CampaignTask], results: &[Option<TaskResult>]) -> String {
+pub fn summary_csv(tasks: &[JobSpec], results: &[Option<TaskResult>]) -> String {
     let mut csv = String::from("tech,width,method,seed,sims,best_cost,front_size\n");
     for (task, result) in tasks.iter().zip(results) {
         let r = result.as_ref().expect("campaign completed");
-        let tech = match task.spec.tech {
-            TechLibrary::Nangate45Like => "nangate45",
-            TechLibrary::Scaled8nmLike => "scaled8nm",
-        };
         let sims = r.outcome.history.last().map_or(0, |&(s, _)| s);
         csv.push_str(&format!(
-            "{tech},{},{},{},{sims},{:.9},{}\n",
-            task.spec.width,
+            "{},{},{},{},{sims},{:.9},{}\n",
+            tech_slug(task.tech),
+            task.width,
             task.method.label(),
             task.seed,
             r.outcome.best_cost,
@@ -281,45 +231,56 @@ pub fn run_units<T: Send>(units: Vec<Unit<T>>, threads: usize) -> Vec<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::{Method, TechLibrary};
     use cv_prefix::CircuitKind;
 
-    fn tiny_task(method: Method, seed: u64) -> CampaignTask {
-        CampaignTask {
+    fn tiny_task(method: Method, seed: u64) -> JobSpec {
+        JobSpec {
             method,
-            spec: ExperimentSpec::standard(8, CircuitKind::Adder, 0.5, 30),
+            kind: CircuitKind::Adder,
+            width: 8,
+            tech: TechLibrary::Nangate45Like,
+            delay_weight: 0.5,
+            budget: 30,
             seed,
         }
     }
 
-    #[test]
-    fn task_ids_are_stable_and_filesystem_safe() {
-        let t = tiny_task(Method::GaNsga2, 7);
-        assert_eq!(t.id(), "nangate45_w8_gansga2_s7");
-        let mut t2 = tiny_task(Method::Sa, 1);
-        t2.spec.tech = TechLibrary::Scaled8nmLike;
-        assert_eq!(t2.id(), "scaled8nm_w8_sa_s1");
+    fn test_dir(name: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("cv_campaign_test_{}_{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
     }
 
     #[test]
-    fn in_memory_campaign_matches_direct_runs() {
+    fn campaign_matches_direct_runs() {
+        let dir = test_dir("direct");
         let tasks = vec![tiny_task(Method::Sa, 3), tiny_task(Method::Random, 4)];
-        let results = run_campaign(&tasks, &CampaignConfig::in_memory(2));
+        let cfg = CampaignConfig {
+            dir: dir.clone(),
+            checkpoint_every: usize::MAX,
+            threads: 2,
+            halt_after: None,
+            journal_max_bytes: JOURNAL_MAX_BYTES,
+        };
+        let results = run_campaign(&tasks, &cfg);
         for (task, result) in tasks.iter().zip(&results) {
-            let direct = crate::harness::run_method(task.method, &task.spec, task.seed);
+            let direct = crate::harness::run_method(task.method, &task.to_spec(), task.seed);
             let got = &result.as_ref().expect("completed").outcome;
             assert_eq!(got.to_ckpt_bytes(), direct.to_ckpt_bytes());
         }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn halted_campaign_resumes_to_byte_identical_outputs() {
-        let base = std::env::temp_dir().join(format!("cv_campaign_test_{}", std::process::id()));
+        let base = test_dir("halt");
         let clean_dir = base.join("clean");
         let resumed_dir = base.join("resumed");
-        let _ = std::fs::remove_dir_all(&base);
         let tasks = vec![tiny_task(Method::Sa, 9), tiny_task(Method::Ga, 9)];
         let cfg = |dir: &PathBuf, halt: Option<usize>| CampaignConfig {
-            dir: Some(dir.clone()),
+            dir: dir.clone(),
             checkpoint_every: 7,
             threads: 1,
             halt_after: halt,

@@ -2,15 +2,16 @@
 //! campaign orchestrator ([`crate::campaign`]) and the `campaignd`
 //! search service ([`crate::service`]).
 //!
-//! One *task* is a method×spec×seed search run with an on-disk life
-//! (Contract 10, DESIGN.md §9):
+//! One *task* is a [`JobSpec`] — method × circuit × width × tech × ω ×
+//! budget × seed — run as a search with an on-disk life (Contract 10,
+//! DESIGN.md §9). Its files share the stem [`JobSpec::id`], whichever
+//! front end runs it:
 //!
 //! * `<id>.journal` — append-only [`cv_journal::Journal`] of task
 //!   events (*started*, *progress* + *checkpoint* pairs, *completed*),
-//!   written **before** any derived file so replaying its durable
-//!   prefix always reconstructs (or heals) the rest;
-//! * `<id>.ckpt`  — the latest full resume snapshot (driver +
-//!   evaluator + archive + telemetry);
+//!   written **before** any derived file. It is the task's only resume
+//!   source: replaying its durable prefix always reconstructs (or
+//!   heals) the rest;
 //! * `<id>.jsonl` — the per-round telemetry stream;
 //! * `<id>.done`  — the final outcome + frontier archive.
 //!
@@ -23,15 +24,77 @@
 //! callers produce byte-identical `.done`/`.jsonl` files and identical
 //! rotated journals for the same task.
 
-use crate::campaign::CampaignTask;
 use crate::driver::{make_driver, MethodDriver};
-use crate::harness::build_evaluator;
+use crate::harness::{build_evaluator, ExperimentSpec, Method, TechLibrary};
 use circuitvae::driver::{Checkpointable, SearchDriver, StepStatus};
 use cv_journal::{fs, Journal};
+use cv_prefix::CircuitKind;
 use cv_synth::ckpt::{CkptError, Dec, Enc};
 use cv_synth::{CachedEvaluator, EvaluatorState, ParetoArchive, SearchOutcome, SharedArchive};
 use std::io;
 use std::path::{Path, PathBuf};
+
+/// A task specification: what one campaign grid cell or one `campaignd`
+/// job searches. Its identity ([`JobSpec::id`]) is a pure function of
+/// the spec, so re-running or re-submitting after a crash finds the same
+/// files.
+#[derive(Debug, Clone, PartialEq)]
+pub struct JobSpec {
+    /// The search method.
+    pub method: Method,
+    /// The prefix-circuit family.
+    pub kind: CircuitKind,
+    /// Circuit bitwidth.
+    pub width: usize,
+    /// Technology library.
+    pub tech: TechLibrary,
+    /// Delay weight ω of the scalarized objective.
+    pub delay_weight: f64,
+    /// Total simulation budget.
+    pub budget: usize,
+    /// Method seed.
+    pub seed: u64,
+}
+
+/// The machine slug of a tech library (wire, file-stem and CSV
+/// vocabulary).
+pub fn tech_slug(tech: TechLibrary) -> &'static str {
+    match tech {
+        TechLibrary::Nangate45Like => "nangate45",
+        TechLibrary::Scaled8nmLike => "scaled8nm",
+    }
+}
+
+/// The machine slug of a method (wire + file-stem vocabulary): the
+/// paper label, lowercased, separators removed (`GA-NSGA2` → `gansga2`).
+pub fn method_slug(method: Method) -> String {
+    method.label().to_lowercase().replace('-', "")
+}
+
+impl JobSpec {
+    /// The task's stable identity — the stem of its on-disk files and the
+    /// handle every `campaignd` lifecycle command uses. Deterministic in
+    /// the spec, so a client can re-submit blindly after a restart.
+    pub fn id(&self) -> String {
+        format!(
+            "{}_{}_w{}_{}_b{}_s{}",
+            tech_slug(self.tech),
+            self.kind.name(),
+            self.width,
+            method_slug(self.method),
+            self.budget,
+            self.seed
+        )
+    }
+
+    /// The experiment spec this task runs (standard IO/init policy).
+    pub fn to_spec(&self) -> ExperimentSpec {
+        let mut spec =
+            ExperimentSpec::standard(self.width, self.kind, self.delay_weight, self.budget);
+        spec.tech = self.tech;
+        spec
+    }
+}
 
 /// A completed task: the outcome plus the frontier its run traced.
 #[derive(Debug, Clone)]
@@ -61,7 +124,8 @@ enum TaskEvent {
         /// Simulations consumed so far.
         sims: u64,
     },
-    /// A full resume snapshot (the same bytes as the `.ckpt` file).
+    /// A full resume snapshot (driver + evaluator + archive +
+    /// telemetry).
     Checkpoint {
         /// Encoded [`encode_ckpt`] bytes.
         bytes: Vec<u8>,
@@ -157,7 +221,7 @@ struct TaskJournal {
 }
 
 impl TaskJournal {
-    fn open(path: &Path) -> io::Result<(TaskJournal, ReplayedState)> {
+    fn open(path: &Path, max_bytes: u64) -> io::Result<(TaskJournal, ReplayedState)> {
         let opened = Journal::open(path)?;
         if opened.truncated_bytes > 0 {
             eprintln!(
@@ -170,7 +234,7 @@ impl TaskJournal {
         Ok((
             TaskJournal {
                 journal: Some(opened.journal),
-                max_bytes: crate::campaign::JOURNAL_MAX_BYTES,
+                max_bytes,
             },
             state,
         ))
@@ -300,18 +364,16 @@ fn telemetry_line(task_id: &str, round: usize, sims: usize, best: f64) -> String
 }
 
 /// The on-disk file set of one persistent task.
-pub(crate) struct TaskPaths {
-    pub(crate) done: PathBuf,
-    pub(crate) ckpt: PathBuf,
-    pub(crate) jsonl: PathBuf,
-    pub(crate) journal: PathBuf,
+struct TaskPaths {
+    done: PathBuf,
+    jsonl: PathBuf,
+    journal: PathBuf,
 }
 
 impl TaskPaths {
-    pub(crate) fn new(dir: &Path, id: &str) -> TaskPaths {
+    fn new(dir: &Path, id: &str) -> TaskPaths {
         TaskPaths {
             done: dir.join(format!("{id}.done")),
-            ckpt: dir.join(format!("{id}.ckpt")),
             jsonl: dir.join(format!("{id}.jsonl")),
             journal: dir.join(format!("{id}.journal")),
         }
@@ -319,31 +381,9 @@ impl TaskPaths {
 
     /// Removes every on-disk artifact of the task (cancellation GC).
     /// Idempotent: missing files are fine.
-    pub(crate) fn remove_all(&self) {
-        for p in [&self.done, &self.ckpt, &self.jsonl, &self.journal] {
+    fn remove_all(&self) {
+        for p in [&self.done, &self.jsonl, &self.journal] {
             let _ = std::fs::remove_file(p);
-        }
-    }
-}
-
-/// Reads and decodes a `.done`/`.ckpt` artifact; a corrupt or truncated
-/// file is logged and **deleted** (recovery treats it as absent and
-/// falls back — never a panic; Contract 10).
-fn read_or_quarantine<T>(
-    path: &Path,
-    what: &str,
-    decode: impl FnOnce(&[u8]) -> Result<T, CkptError>,
-) -> Option<T> {
-    let bytes = std::fs::read(path).ok()?;
-    match decode(&bytes) {
-        Ok(v) => Some(v),
-        Err(e) => {
-            eprintln!(
-                "campaign: corrupt {what} at {} ({e}); treating as absent",
-                path.display()
-            );
-            let _ = std::fs::remove_file(path);
-            None
         }
     }
 }
@@ -365,8 +405,7 @@ pub(crate) enum TaskStep {
         /// Whether a checkpoint was written this step.
         checkpointed: bool,
     },
-    /// The driver finished; the result (and its files, when persistent)
-    /// are final.
+    /// The driver finished; the result and its files are final.
     Done(Box<TaskResult>),
 }
 
@@ -378,8 +417,8 @@ pub(crate) enum TaskStep {
 /// [`RunningTask::checkpoint_now`], journal-first (Contract 10).
 pub(crate) struct RunningTask {
     id: String,
-    paths: Option<TaskPaths>,
-    journal: Option<TaskJournal>,
+    paths: TaskPaths,
+    journal: TaskJournal,
     evaluator: CachedEvaluator,
     driver: MethodDriver,
     archive: SharedArchive,
@@ -390,87 +429,76 @@ pub(crate) struct RunningTask {
 }
 
 impl RunningTask {
-    /// Opens `task` against the on-disk state under `dir` (or fully in
-    /// memory when `dir` is `None`).
+    /// Opens the task `spec` against its on-disk state under `dir`.
     ///
     /// Recovery order (Contract 10): a decodable `.done` wins; then the
     /// task journal's durable *completed* record (healing the result
     /// files byte-exactly); then the journal's latest durable
-    /// checkpoint; then the `.ckpt` file (pre-journal directories);
-    /// then a fresh start. Corrupt artifacts are quarantined, never a
-    /// panic.
+    /// checkpoint; then a fresh start. A corrupt `.done` is quarantined,
+    /// never a panic.
     ///
     /// # Errors
     ///
     /// Propagates persistence failures — including crashes injected by
     /// an armed failpoint in `Error` mode.
     pub(crate) fn open(
-        task: &CampaignTask,
-        id: String,
-        dir: Option<&Path>,
+        spec: &JobSpec,
+        dir: &Path,
         journal_max_bytes: u64,
     ) -> io::Result<OpenedTask> {
-        let paths = dir.map(|d| TaskPaths::new(d, &id));
+        let id = spec.id();
+        let paths = TaskPaths::new(dir, &id);
 
         // Completed on a previous run: reuse the stored result verbatim.
-        // A real kill can land between the `.done` write and the
-        // checkpoint removal, so sweep up any leftover `.ckpt` here —
-        // otherwise the stale file would survive every later resume and
-        // the directory would never byte-match a clean run.
-        if let Some(p) = &paths {
-            if let Some(result) = read_or_quarantine(&p.done, ".done file", decode_done) {
-                let _ = std::fs::remove_file(&p.ckpt);
-                return Ok(OpenedTask::Done(result));
+        // A corrupt or truncated `.done` is logged and deleted, and
+        // recovery falls through to the journal.
+        if let Ok(bytes) = std::fs::read(&paths.done) {
+            match decode_done(&bytes) {
+                Ok(result) => return Ok(OpenedTask::Done(result)),
+                Err(e) => {
+                    eprintln!(
+                        "campaign: corrupt .done file at {} ({e}); treating as absent",
+                        paths.done.display()
+                    );
+                    let _ = std::fs::remove_file(&paths.done);
+                }
             }
         }
 
         // Open the event journal and replay its durable prefix. The
         // journal is authoritative: its records were appended *before*
-        // the matching `.ckpt`/`.done` files were published, so it is
+        // the matching `.jsonl`/`.done` files were published, so it is
         // never behind them.
-        let journal = match &paths {
-            Some(p) => {
-                let (mut journal, state) = TaskJournal::open(&p.journal)?;
-                journal.max_bytes = journal_max_bytes;
-                if let Some((done_bytes, jsonl_bytes)) = &state.completed {
-                    if let Ok(result) = decode_done(done_bytes) {
-                        // The task completed durably but died before (or
-                        // while) publishing its result files: heal them
-                        // from the journal, byte-exact.
-                        fs::write_atomic(&p.jsonl, jsonl_bytes)?;
-                        fs::write_atomic(&p.done, done_bytes)?;
-                        let _ = std::fs::remove_file(&p.ckpt);
-                        return Ok(OpenedTask::Done(result));
-                    }
-                    eprintln!(
-                        "campaign: undecodable completed record in {}; replaying from checkpoint",
-                        p.journal.display()
-                    );
-                }
-                Some((journal, state))
+        let (mut journal, state) = TaskJournal::open(&paths.journal, journal_max_bytes)?;
+        if let Some((done_bytes, jsonl_bytes)) = &state.completed {
+            if let Ok(result) = decode_done(done_bytes) {
+                // The task completed durably but died before (or while)
+                // publishing its result files: heal them from the
+                // journal, byte-exact.
+                fs::write_atomic(&paths.jsonl, jsonl_bytes)?;
+                fs::write_atomic(&paths.done, done_bytes)?;
+                return Ok(OpenedTask::Done(result));
             }
-            None => None,
-        };
+            eprintln!(
+                "campaign: undecodable completed record in {}; replaying from checkpoint",
+                paths.journal.display()
+            );
+        }
 
-        let evaluator = build_evaluator(&task.spec);
-        // Resume source, in order of trust: the journal's latest durable
-        // checkpoint, then the `.ckpt` file (pre-journal directories),
-        // then a fresh start.
-        let resumed = journal
-            .as_ref()
-            .and_then(|(_, state)| state.checkpoint.as_deref())
+        let experiment = spec.to_spec();
+        let evaluator = build_evaluator(&experiment);
+        // Resume from the journal's latest durable checkpoint, or start
+        // fresh.
+        let resumed = state
+            .checkpoint
+            .as_deref()
             .and_then(|bytes| match decode_ckpt(bytes) {
                 Ok(r) => Some(r),
                 Err(e) => {
                     eprintln!("campaign: undecodable journal checkpoint for {id} ({e})");
                     None
                 }
-            })
-            .or_else(|| {
-                let p = paths.as_ref()?;
-                read_or_quarantine(&p.ckpt, ".ckpt file", decode_ckpt)
             });
-        let mut journal = journal.map(|(j, _)| j);
 
         let (driver, archive, round, last_line_sims, lines) = match resumed {
             Some(resumed) => {
@@ -486,13 +514,11 @@ impl RunningTask {
                 )
             }
             None => {
-                if let Some(journal) = &mut journal {
-                    journal.started()?;
-                }
+                journal.started()?;
                 let shared = ParetoArchive::new().with_log().into_shared();
                 evaluator.attach_archive(shared.clone());
                 (
-                    make_driver(task.method, &task.spec, task.seed),
+                    make_driver(spec.method, &experiment, spec.seed),
                     shared,
                     0,
                     usize::MAX, // sentinel: force a line on the first progress
@@ -518,8 +544,7 @@ impl RunningTask {
     /// Advances the driver by one step, appending telemetry, writing
     /// the periodic durable checkpoint when `checkpoint_every` new
     /// simulations have accumulated, and — on completion — publishing
-    /// the final result (journal rotation first, then `.jsonl`/`.done`,
-    /// then `.ckpt` removal).
+    /// the final result (journal rotation first, then `.jsonl`/`.done`).
     ///
     /// # Errors
     ///
@@ -540,20 +565,15 @@ impl RunningTask {
                     outcome,
                     archive: self.archive.lock().clone(),
                 };
-                if let Some(p) = &self.paths {
-                    let done_bytes = encode_done(&result);
-                    let jsonl_bytes = self.lines.join("\n").into_bytes();
-                    // Durable completion first (journal rotated down to
-                    // the single *completed* record), then the derived
-                    // files: a crash anywhere in this sequence heals to
-                    // the same bytes on resume.
-                    if let Some(journal) = &mut self.journal {
-                        journal.complete(&done_bytes, &jsonl_bytes)?;
-                    }
-                    fs::write_atomic(&p.jsonl, &jsonl_bytes)?;
-                    fs::write_atomic(&p.done, &done_bytes)?;
-                    let _ = std::fs::remove_file(&p.ckpt);
-                }
+                let done_bytes = encode_done(&result);
+                let jsonl_bytes = self.lines.join("\n").into_bytes();
+                // Durable completion first (journal rotated down to the
+                // single *completed* record), then the derived files: a
+                // crash anywhere in this sequence heals to the same bytes
+                // on resume.
+                self.journal.complete(&done_bytes, &jsonl_bytes)?;
+                fs::write_atomic(&self.paths.jsonl, &jsonl_bytes)?;
+                fs::write_atomic(&self.paths.done, &done_bytes)?;
                 Ok(TaskStep::Done(Box::new(result)))
             }
             StepStatus::Running => {
@@ -581,19 +601,14 @@ impl RunningTask {
         }
     }
 
-    /// Persists a full resume snapshot now (journal first, then the
-    /// `.ckpt` and `.jsonl` artifacts) — the halt/pause/shutdown hook.
-    /// A no-op in memory-only mode.
+    /// Persists a full resume snapshot now (the journal record first,
+    /// then the `.jsonl` telemetry) — the halt/pause/shutdown hook.
     ///
     /// # Errors
     ///
     /// Propagates persistence failures (including injected crashes).
     pub(crate) fn checkpoint_now(&mut self) -> io::Result<()> {
         let sims = self.driver.sims_used();
-        let Some(p) = &self.paths else {
-            self.last_ckpt = sims;
-            return Ok(());
-        };
         let bytes = encode_ckpt(
             &self.driver,
             &self.evaluator.state(),
@@ -602,11 +617,8 @@ impl RunningTask {
             self.last_line_sims,
             &self.lines,
         );
-        if let Some(journal) = &mut self.journal {
-            journal.checkpoint(sims as u64, &bytes)?;
-        }
-        fs::write_atomic(&p.ckpt, &bytes)?;
-        fs::write_atomic(&p.jsonl, self.lines.join("\n").as_bytes())?;
+        self.journal.checkpoint(sims as u64, &bytes)?;
+        fs::write_atomic(&self.paths.jsonl, self.lines.join("\n").as_bytes())?;
         self.last_ckpt = sims;
         Ok(())
     }
@@ -642,12 +654,11 @@ impl RunningTask {
     /// every on-disk artifact of the task. Idempotent against crashes —
     /// a re-run of the removal (after a service-journal replay) is
     /// harmless.
-    pub(crate) fn remove_files(mut self) {
+    pub(crate) fn remove_files(self) {
         self.evaluator.detach_archive();
-        self.journal = None; // close the segment handle before unlinking
-        if let Some(p) = &self.paths {
-            p.remove_all();
-        }
+        let RunningTask { journal, paths, .. } = self;
+        drop(journal); // close the segment handle before unlinking
+        paths.remove_all();
     }
 }
 

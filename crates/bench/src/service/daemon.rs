@@ -53,7 +53,6 @@
 //! lazily reopened + recompacted — the in-memory table is authoritative
 //! and never behind the journal's durable prefix.
 
-use crate::campaign::CampaignTask;
 use crate::persist::{
     remove_task_files, result_front, OpenedTask, RunningTask, TaskResult, TaskStep,
 };
@@ -674,7 +673,7 @@ impl Daemon {
                     };
                     (state, retries)
                 }
-                None => (open_job(&spec, &id, &cfg, paused)?, 0),
+                None => (open_job(&spec, &cfg, paused)?, 0),
             };
             jobs.push(JobSlot {
                 id,
@@ -934,7 +933,7 @@ impl Daemon {
         // Journal first, then build: a crash after the append replays
         // into exactly the submit the client will retry.
         self.append_event(&ServiceEvent::Submitted(spec.clone()))?;
-        let state = match open_job(spec, &id, &self.cfg, false) {
+        let state = match open_job(spec, &self.cfg, false) {
             Ok(state) => state,
             Err(e) if cv_journal::failpoint::is_crash(&e) => return Err(e),
             Err(e) => {
@@ -1122,7 +1121,7 @@ impl Daemon {
             self.jobs[idx].retries.fetch_add(1, Ordering::Relaxed);
         }
         eprintln!("campaignd: retrying job {id} from its last durable checkpoint");
-        match open_job(&spec, &id, &self.cfg, false) {
+        match open_job(&spec, &self.cfg, false) {
             Ok(state) => {
                 let finished = matches!(state, JobState::Done(_));
                 *self.jobs[idx].state.lock() = state;
@@ -1397,14 +1396,9 @@ fn replace_with(state: &mut JobState, f: impl FnOnce(JobState) -> JobState) {
 
 /// Opens (or resumes) one job's step engine from its durable per-job
 /// state, classifying it into the replayed lifecycle state.
-fn open_job(spec: &JobSpec, id: &str, cfg: &DaemonConfig, paused: bool) -> io::Result<JobState> {
-    let task = CampaignTask {
-        method: spec.method,
-        spec: spec.to_spec(),
-        seed: spec.seed,
-    };
+fn open_job(spec: &JobSpec, cfg: &DaemonConfig, paused: bool) -> io::Result<JobState> {
     Ok(
-        match RunningTask::open(&task, id.to_string(), Some(&cfg.dir), cfg.journal_max_bytes)? {
+        match RunningTask::open(spec, &cfg.dir, cfg.journal_max_bytes)? {
             OpenedTask::Done(result) => JobState::Done(result),
             OpenedTask::Run(rt) if paused => JobState::Paused(rt),
             OpenedTask::Run(rt) => JobState::Running(rt),

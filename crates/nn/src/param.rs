@@ -54,6 +54,18 @@ impl ParamStore {
         self.values.is_empty()
     }
 
+    /// Whether `other` holds the same parameters: the same count, and
+    /// the same shape in every slot. A decoded checkpoint store is only
+    /// usable by a model whose rebuilt store has its layout.
+    pub fn same_layout(&self, other: &ParamStore) -> bool {
+        self.values.len() == other.values.len()
+            && self
+                .values
+                .iter()
+                .zip(&other.values)
+                .all(|(a, b)| a.shape() == b.shape())
+    }
+
     /// Total scalar parameter count.
     pub fn scalar_count(&self) -> usize {
         self.values.iter().map(Tensor::numel).sum()

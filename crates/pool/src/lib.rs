@@ -26,14 +26,13 @@
 //! oversubscribed the machine instead). Size coarse-grained dispatches
 //! to at least the worker count to saturate the pool.
 //!
-//! **Panic isolation** ([`WorkerPool::run_isolated`],
-//! [`WorkerPool::run_dynamic_isolated`]): the supervision entry points.
-//! Each task runs under its own `catch_unwind`, so one panicking task
-//! cannot abort its worker's remaining tasks or unwind into the
-//! dispatcher; the call returns a per-task [`TaskOutcome`] instead of
-//! re-throwing. Surviving tasks keep the exact assignment and results
-//! they would have had with no panic in the batch — the pool-level half
-//! of DESIGN.md Contract 13.
+//! **Panic isolation** ([`WorkerPool::run_dynamic_isolated`]): the
+//! supervision entry point. Each task runs under its own `catch_unwind`,
+//! so one panicking task cannot abort its worker's remaining tasks or
+//! unwind into the dispatcher; the call returns a per-task
+//! [`TaskOutcome`] instead of re-throwing. Surviving tasks run and
+//! produce the results they would have had with no panic in the batch —
+//! the pool-level half of DESIGN.md Contract 13.
 
 #![deny(missing_docs)]
 
@@ -253,38 +252,18 @@ impl WorkerPool {
         });
     }
 
-    /// Runs `f(t)` for every `t in 0..tasks` with static assignment and
-    /// **per-task panic isolation**: each task executes under its own
-    /// `catch_unwind`, and the call returns one [`TaskOutcome`] per task
-    /// instead of re-throwing. A panicking task never derails the other
-    /// tasks of the batch — its worker continues with its remaining
-    /// tasks, assignment (`t % threads`, ascending per worker) is
-    /// unchanged for every survivor, and the pool stays fully usable.
+    /// The panic-isolated counterpart of [`WorkerPool::run_dynamic`]:
+    /// dynamic assignment across at most `max_workers` workers, each
+    /// task under its own `catch_unwind`, and one [`TaskOutcome`] per
+    /// task returned instead of re-thrown. A panicking task never derails
+    /// the other tasks of the batch — its worker moves on to the next
+    /// task, and the pool stays fully usable.
     ///
     /// The closure may hold state across the unwind boundary
     /// (`AssertUnwindSafe`): callers own the judgement that a panicked
     /// task's partial effects are discarded or isolated per task slot —
     /// the supervision layers above (e.g. `campaignd`) discard the
     /// poisoned per-task state and rebuild it from durable storage.
-    pub fn run_isolated<F: Fn(usize) + Sync>(&self, tasks: usize, f: F) -> Vec<TaskOutcome> {
-        let slots: Vec<std::sync::Mutex<Option<String>>> =
-            (0..tasks).map(|_| std::sync::Mutex::new(None)).collect();
-        self.run(tasks, |t| {
-            if let Err(p) = catch_unwind(AssertUnwindSafe(|| f(t))) {
-                let msg = panic_message(p);
-                *slots[t]
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(msg);
-            }
-        });
-        collect_outcomes(slots)
-    }
-
-    /// The panic-isolated counterpart of [`WorkerPool::run_dynamic`]:
-    /// dynamic assignment across at most `max_workers` workers, each
-    /// task under its own `catch_unwind`, per-task [`TaskOutcome`]s
-    /// returned instead of re-thrown. See [`WorkerPool::run_isolated`]
-    /// for the isolation contract.
     pub fn run_dynamic_isolated<F: Fn(usize) + Sync>(
         &self,
         tasks: usize,
@@ -301,7 +280,18 @@ impl WorkerPool {
                     .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(msg);
             }
         });
-        collect_outcomes(slots)
+        slots
+            .into_iter()
+            .map(|s| {
+                match s
+                    .into_inner()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner)
+                {
+                    None => TaskOutcome::Completed,
+                    Some(msg) => TaskOutcome::Panicked(msg),
+                }
+            })
+            .collect()
     }
 
     /// Runs `f(t)` for every `t in 0..tasks` with **dynamic** (atomic
@@ -337,7 +327,7 @@ impl WorkerPool {
 }
 
 /// The per-task result of an isolated dispatch
-/// ([`WorkerPool::run_isolated`] / [`WorkerPool::run_dynamic_isolated`]).
+/// ([`WorkerPool::run_dynamic_isolated`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TaskOutcome {
     /// The task ran to completion.
@@ -363,21 +353,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
             Err(_) => "non-string panic payload".to_string(),
         },
     }
-}
-
-fn collect_outcomes(slots: Vec<std::sync::Mutex<Option<String>>>) -> Vec<TaskOutcome> {
-    slots
-        .into_iter()
-        .map(|s| {
-            match s
-                .into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-            {
-                None => TaskOutcome::Completed,
-                Some(msg) => TaskOutcome::Panicked(msg),
-            }
-        })
-        .collect()
 }
 
 impl Drop for WorkerPool {
@@ -553,7 +528,6 @@ mod tests {
         let mut empty: [u8; 0] = [];
         pool.scatter(&mut empty, 5, |_, _| panic!("must not run"));
         pool.run_dynamic(0, 3, |_| panic!("must not run"));
-        assert!(pool.run_isolated(0, |_| panic!("must not run")).is_empty());
         assert!(pool
             .run_dynamic_isolated(0, 3, |_| panic!("must not run"))
             .is_empty());
@@ -564,7 +538,7 @@ mod tests {
         for threads in [1, 2, 4] {
             let pool = WorkerPool::new(threads);
             let hits: Vec<AtomicUsize> = (0..16).map(|_| AtomicUsize::new(0)).collect();
-            let outcomes = pool.run_isolated(hits.len(), |t| {
+            let outcomes = pool.run_dynamic_isolated(hits.len(), threads, |t| {
                 if t == 3 || t == 7 {
                     panic!("task {t} exploded");
                 }
@@ -589,30 +563,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn isolated_run_preserves_static_assignment_for_survivors() {
-        // Worker 3 of a 4-thread pool hosts tasks 3, 7, 11; task 3
-        // panics, yet 7 and 11 still run — on the same worker the
-        // no-panic schedule would give them.
-        let pool = WorkerPool::new(4);
-        let workers: Vec<AtomicUsize> = (0..12).map(|_| AtomicUsize::new(usize::MAX)).collect();
-        let outcomes = pool.run_isolated(workers.len(), |t| {
-            let w = WorkerPool::current_worker().expect("on a pool worker");
-            workers[t].store(w, Ordering::Relaxed);
-            if t == 3 {
-                panic!("first task of worker 3 exploded");
-            }
-        });
-        assert!(outcomes[3].panicked());
-        for (t, worker) in workers.iter().enumerate() {
-            assert_eq!(
-                worker.load(Ordering::Relaxed),
-                t % 4,
-                "task {t} must keep its deterministic worker"
-            );
         }
     }
 
@@ -645,7 +595,7 @@ mod tests {
     #[test]
     fn pool_stays_usable_after_isolated_panics() {
         let pool = WorkerPool::new(2);
-        let outcomes = pool.run_isolated(4, |_| panic!("all of them"));
+        let outcomes = pool.run_dynamic_isolated(4, 2, |_| panic!("all of them"));
         assert!(outcomes.iter().all(TaskOutcome::panicked));
         // Both the isolated and the re-throwing entry points still work.
         let count = AtomicUsize::new(0);
@@ -660,7 +610,7 @@ mod tests {
     #[test]
     fn isolated_panic_payloads_render_to_messages() {
         let pool = WorkerPool::new(1);
-        let outcomes = pool.run_isolated(3, |t| match t {
+        let outcomes = pool.run_dynamic_isolated(3, 1, |t| match t {
             0 => panic!("{}", format!("owned string {t}")),
             1 => panic!("static str"),
             _ => std::panic::panic_any(42usize),
