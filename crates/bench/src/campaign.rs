@@ -13,10 +13,11 @@
 //! Each task runs one `MethodDriver` through the shared
 //! `crate::persist::RunningTask` step engine — the same engine the
 //! `campaignd` service (DESIGN.md §10) interleaves across jobs. Every
-//! `checkpoint_every` simulations the engine appends a full resume
-//! snapshot (driver state + evaluator snapshot + archive + telemetry
-//! lines so far) to the task journal `<id>.journal`, then rewrites the
-//! telemetry stream `<id>.jsonl` up to the checkpoint.
+//! `checkpoint_every` simulations the engine appends one record of the
+//! work since the previous checkpoint (the new simulations in order,
+//! the new telemetry lines, the driver's state) to the task journal
+//! `<id>.journal`, then appends the new lines to the telemetry stream
+//! `<id>.jsonl`.
 //!
 //! On completion the engine rotates the journal down to one *completed*
 //! record and writes the final `<id>.jsonl` and `<id>.done` (outcome +
@@ -30,14 +31,15 @@
 //! artifact flows through the audited write path in [`cv_journal::fs`]
 //! (unique staging names, fsync before rename, parent-directory sync),
 //! and each task records its life in an append-only checksummed
-//! [`cv_journal::Journal`]: *started*, *simulated-N* + *checkpointed*
-//! at every checkpoint, *completed* (the final result and telemetry
-//! bytes) at the end. The journal is the only resume source. Recovery
-//! replays its durable prefix: a torn tail is truncated, a corrupt or
-//! truncated `.done` is logged and treated as absent (never a panic),
-//! and a crash that landed after the *completed* record but before the
-//! result files heals the files from the journal — so every injected
-//! crash point resumes to byte-identical outputs. The fault-injection
+//! [`cv_journal::Journal`]: *started*, one *checkpoint* record per
+//! checkpoint, *completed* (the final result and telemetry bytes) at
+//! the end. The journal is the only resume source. Recovery folds the
+//! checkpoint records of its durable prefix into the state at the last
+//! one and rewrites `<id>.jsonl` from them: a torn tail is truncated, a
+//! corrupt or truncated `.done` is logged and treated as absent (never
+//! a panic), and a crash that landed after the *completed* record but
+//! before the result files heals the files from the journal — so every
+//! injected crash point resumes to byte-identical outputs. The fault-injection
 //! proptests in `tests/crash_recovery.rs` and the CI `crash-smoke` job
 //! (`CV_FAILPOINT`) pin exactly that.
 
@@ -63,7 +65,7 @@ pub struct CampaignConfig {
     /// resume-equality smoke. `None` runs to completion.
     pub halt_after: Option<usize>,
     /// Rotate a task's event journal once its segment exceeds this many
-    /// bytes (compacting it to the latest durable state). Keeps
+    /// bytes (compacting it to one record of the latest durable state). Keeps
     /// long-running tasks' journals bounded; tests shrink it to force
     /// rotation under fault injection.
     pub journal_max_bytes: u64,

@@ -8,11 +8,18 @@
 //! front end runs it:
 //!
 //! * `<id>.journal` — append-only [`cv_journal::Journal`] of task
-//!   events (*started*, *progress* + *checkpoint* pairs, *completed*),
-//!   written **before** any derived file. It is the task's only resume
-//!   source: replaying its durable prefix always reconstructs (or
-//!   heals) the rest;
-//! * `<id>.jsonl` — the per-round telemetry stream;
+//!   events, written **before** any derived file: *started*, one
+//!   *checkpoint* record per checkpoint, *completed*. A checkpoint
+//!   record holds only the work since the previous one: the new
+//!   simulations in order, the new telemetry lines, and the driver's
+//!   own state. The journal is the task's only resume source: replay
+//!   folds its records into the state at the last durable one, and a
+//!   segment past its cap is compacted into one record covering
+//!   everything since *started*;
+//! * `<id>.jsonl` — the per-round telemetry stream. Mid-run it grows
+//!   by an unsynced append after each checkpoint record and is rebuilt
+//!   from the journal whenever the task is opened; completion publishes
+//!   it atomically;
 //! * `<id>.done`  — the final outcome + frontier archive.
 //!
 //! [`RunningTask`] is the single step engine both callers drive: the
@@ -28,9 +35,11 @@ use crate::driver::{make_driver, MethodDriver};
 use crate::harness::{build_evaluator, ExperimentSpec, Method, TechLibrary};
 use circuitvae::driver::{Checkpointable, SearchDriver, StepStatus};
 use cv_journal::{fs, Journal};
-use cv_prefix::CircuitKind;
+use cv_prefix::{CircuitKind, PrefixGrid};
 use cv_synth::ckpt::{CkptError, Dec, Enc};
-use cv_synth::{CachedEvaluator, EvaluatorState, ParetoArchive, SearchOutcome, SharedArchive};
+use cv_synth::{
+    CachedEvaluator, EvalRecord, EvaluatorState, ParetoArchive, SearchOutcome, SharedArchive,
+};
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -106,7 +115,6 @@ pub struct TaskResult {
 }
 
 const DONE_MAGIC: &[u8; 8] = b"CVCPDN01";
-const CKPT_MAGIC: &[u8; 8] = b"CVCPCK01";
 
 // ---------------------------------------------------------------------
 // Task event journal (Contract 10)
@@ -116,20 +124,10 @@ const CKPT_MAGIC: &[u8; 8] = b"CVCPCK01";
 /// checksummed journal frames, so decoding sees only intact records.
 #[derive(Debug, Clone, PartialEq)]
 enum TaskEvent {
-    /// The task began a fresh run.
+    /// The task began a fresh run: every earlier record is void.
     Started,
-    /// The task has consumed `sims` simulations (stamped alongside each
-    /// checkpoint — the budget axis of the journal).
-    Progress {
-        /// Simulations consumed so far.
-        sims: u64,
-    },
-    /// A full resume snapshot (driver + evaluator + archive +
-    /// telemetry).
-    Checkpoint {
-        /// Encoded [`encode_ckpt`] bytes.
-        bytes: Vec<u8>,
-    },
+    /// The work since the previous durable record.
+    Checkpoint(Delta),
     /// The task finished: the final result and telemetry, byte-exact.
     Completed {
         /// Encoded [`encode_done`] bytes.
@@ -139,23 +137,92 @@ enum TaskEvent {
     },
 }
 
+/// The work a task did between two durable records — its one
+/// checkpoint record. Deltas fold by concatenation, so the fold of
+/// every delta since *started* is itself a delta: the whole resume
+/// state, and the one record a compacted segment holds.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Delta {
+    /// Simulations counted when the record was cut.
+    sims: usize,
+    /// The simulations since the previous record, in simulation order:
+    /// the last one was simulation `sims`.
+    simulated: Vec<(PrefixGrid, EvalRecord)>,
+    /// The telemetry lines added since the previous record.
+    lines: Vec<String>,
+    /// The step engine's round counter.
+    round: usize,
+    /// The sims stamp of the latest telemetry line (`usize::MAX` before
+    /// the first).
+    last_line_sims: usize,
+    /// The driver's full state ([`Checkpointable::save`]).
+    driver: Vec<u8>,
+}
+
+impl Delta {
+    /// Appends `next`, the delta cut after `self`.
+    fn fold(&mut self, next: Delta) {
+        self.sims = next.sims;
+        self.simulated.extend(next.simulated);
+        self.lines.extend(next.lines);
+        self.round = next.round;
+        self.last_line_sims = next.last_line_sims;
+        self.driver = next.driver;
+    }
+
+    fn write(&self, enc: &mut Enc) {
+        enc.usize(self.sims);
+        enc.usize(self.simulated.len());
+        for (grid, record) in &self.simulated {
+            enc.grid(grid);
+            enc.record(record);
+        }
+        enc.usize(self.lines.len());
+        for line in &self.lines {
+            enc.str(line);
+        }
+        enc.usize(self.round);
+        enc.usize(self.last_line_sims);
+        enc.bytes(&self.driver);
+    }
+
+    /// Reads a delta. Counts are checked against the bytes left before
+    /// any element is read, and vectors grow only with decoded elements.
+    fn read(dec: &mut Dec<'_>) -> Result<Delta, CkptError> {
+        let sims = dec.usize()?;
+        let mut simulated = Vec::new();
+        for _ in 0..dec.seq_len()? {
+            simulated.push((dec.grid()?, dec.record()?));
+        }
+        let mut lines = Vec::new();
+        for _ in 0..dec.seq_len()? {
+            lines.push(dec.str()?);
+        }
+        Ok(Delta {
+            sims,
+            simulated,
+            lines,
+            round: dec.usize()?,
+            last_line_sims: dec.usize()?,
+            driver: dec.bytes()?.to_vec(),
+        })
+    }
+}
+
+// Tags 2 and 3 were the retired *progress* + full-snapshot pair; replay
+// reads neither.
 const EV_STARTED: u8 = 1;
-const EV_PROGRESS: u8 = 2;
-const EV_CHECKPOINT: u8 = 3;
 const EV_COMPLETED: u8 = 4;
+const EV_CHECKPOINT: u8 = 5;
 
 impl TaskEvent {
     fn encode(&self) -> Vec<u8> {
         let mut enc = Enc::new();
         match self {
             TaskEvent::Started => enc.u8(EV_STARTED),
-            TaskEvent::Progress { sims } => {
-                enc.u8(EV_PROGRESS);
-                enc.u64(*sims);
-            }
-            TaskEvent::Checkpoint { bytes } => {
+            TaskEvent::Checkpoint(delta) => {
                 enc.u8(EV_CHECKPOINT);
-                enc.bytes(bytes);
+                delta.write(&mut enc);
             }
             TaskEvent::Completed { done, jsonl } => {
                 enc.u8(EV_COMPLETED);
@@ -170,10 +237,7 @@ impl TaskEvent {
         let mut dec = Dec::new(payload);
         let ev = match dec.u8()? {
             EV_STARTED => TaskEvent::Started,
-            EV_PROGRESS => TaskEvent::Progress { sims: dec.u64()? },
-            EV_CHECKPOINT => TaskEvent::Checkpoint {
-                bytes: dec.bytes()?.to_vec(),
-            },
+            EV_CHECKPOINT => TaskEvent::Checkpoint(Delta::read(&mut dec)?),
             EV_COMPLETED => TaskEvent::Completed {
                 done: dec.bytes()?.to_vec(),
                 jsonl: dec.bytes()?.to_vec(),
@@ -189,27 +253,41 @@ impl TaskEvent {
 /// orchestrator held at the last durable record.
 #[derive(Debug, Default)]
 struct ReplayedState {
-    /// The latest durable checkpoint snapshot, if any.
-    checkpoint: Option<Vec<u8>>,
+    /// Every checkpoint since the last *started*, folded; `None` when
+    /// the task has none (a fresh start).
+    checkpoint: Option<Delta>,
     /// The final result + telemetry, if the task completed durably.
     completed: Option<(Vec<u8>, Vec<u8>)>,
-    /// The highest durable simulation count.
-    sims: u64,
+    /// How many leading records replay trusted.
+    trusted: usize,
 }
 
-/// Replays decoded journal records into orchestrator state. A record
-/// that fails to decode (a version change — CRCs already screened out
-/// corruption) ends the trusted prefix, mirroring the torn-tail rule.
+/// Folds decoded journal records into orchestrator state. A record that
+/// fails to decode or does not follow its predecessor (a version change
+/// — CRCs already screened out corruption) ends the trusted prefix,
+/// mirroring the torn-tail rule.
 fn replay(records: &[Vec<u8>]) -> ReplayedState {
     let mut state = ReplayedState::default();
     for record in records {
         match TaskEvent::decode(record) {
-            Ok(TaskEvent::Started) => {}
-            Ok(TaskEvent::Progress { sims }) => state.sims = state.sims.max(sims),
-            Ok(TaskEvent::Checkpoint { bytes }) => state.checkpoint = Some(bytes),
+            Ok(TaskEvent::Started) => {
+                state.checkpoint = None;
+                state.completed = None;
+            }
+            Ok(TaskEvent::Checkpoint(delta)) => {
+                let base = state.checkpoint.as_ref().map_or(0, |folded| folded.sims);
+                if base.checked_add(delta.simulated.len()) != Some(delta.sims) {
+                    break;
+                }
+                match &mut state.checkpoint {
+                    Some(folded) => folded.fold(delta),
+                    None => state.checkpoint = Some(delta),
+                }
+            }
             Ok(TaskEvent::Completed { done, jsonl }) => state.completed = Some((done, jsonl)),
             Err(_) => break,
         }
+        state.trusted += 1;
     }
     state
 }
@@ -221,6 +299,9 @@ struct TaskJournal {
 }
 
 impl TaskJournal {
+    /// Opens and replays the journal at `path`. A segment holding
+    /// records past the trusted prefix is cut down to that prefix, so
+    /// later appends are never stranded behind an unreadable record.
     fn open(path: &Path, max_bytes: u64) -> io::Result<(TaskJournal, ReplayedState)> {
         let opened = Journal::open(path)?;
         if opened.truncated_bytes > 0 {
@@ -231,40 +312,60 @@ impl TaskJournal {
             );
         }
         let state = replay(&opened.records);
+        let mut journal = opened.journal;
+        if state.trusted < opened.records.len() {
+            eprintln!(
+                "campaign: dropping {} unreadable journal record(s) from {}",
+                opened.records.len() - state.trusted,
+                path.display()
+            );
+            let trusted: Vec<&[u8]> = opened.records[..state.trusted]
+                .iter()
+                .map(Vec::as_slice)
+                .collect();
+            journal = journal.rotate(&trusted)?;
+        }
         Ok((
             TaskJournal {
-                journal: Some(opened.journal),
+                journal: Some(journal),
                 max_bytes,
             },
             state,
         ))
     }
 
-    fn started(&mut self) -> io::Result<()> {
-        let payload = TaskEvent::Started.encode();
-        self.journal
-            .as_mut()
-            .expect("journal open")
-            .append(&payload)
+    /// Atomically replaces the segment with `payloads`.
+    fn rotate(&mut self, payloads: &[&[u8]]) -> io::Result<()> {
+        let journal = self.journal.take().expect("journal open");
+        self.journal = Some(journal.rotate(payloads)?);
+        Ok(())
     }
 
-    /// Appends the per-checkpoint event pair (one durable write +
-    /// fsync) and rotates the segment down to it when the cap is
-    /// exceeded.
-    fn checkpoint(&mut self, sims: u64, bytes: &[u8]) -> io::Result<()> {
-        let payloads = [
-            TaskEvent::Progress { sims }.encode(),
-            TaskEvent::Checkpoint {
-                bytes: bytes.to_vec(),
-            }
-            .encode(),
-        ];
-        let refs: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
+    /// Records a fresh start. A segment that already holds records is
+    /// rotated down to the single *started* record instead.
+    fn started(&mut self) -> io::Result<()> {
+        let payload = TaskEvent::Started.encode();
         let journal = self.journal.as_mut().expect("journal open");
-        journal.append_all(&refs)?;
+        if journal.is_empty() {
+            journal.append(&payload)
+        } else {
+            self.rotate(&[&payload])
+        }
+    }
+
+    /// Appends one checkpoint record (one durable write + fsync). Past
+    /// the cap, the segment is compacted: its records fold into one
+    /// record covering everything since *started*.
+    fn checkpoint(&mut self, delta: Delta) -> io::Result<()> {
+        let journal = self.journal.as_mut().expect("journal open");
+        journal.append(&TaskEvent::Checkpoint(delta).encode())?;
         if journal.len() > self.max_bytes {
-            let rotated = self.journal.take().expect("journal open").rotate(&refs)?;
-            self.journal = Some(rotated);
+            let folded = replay(&Journal::read_back(journal.path())?)
+                .checkpoint
+                .ok_or_else(|| {
+                    io::Error::new(io::ErrorKind::InvalidData, "task journal does not replay")
+                })?;
+            self.rotate(&[&TaskEvent::Checkpoint(folded).encode()])?;
         }
         Ok(())
     }
@@ -277,13 +378,7 @@ impl TaskJournal {
             jsonl: jsonl.to_vec(),
         }
         .encode();
-        let rotated = self
-            .journal
-            .take()
-            .expect("journal open")
-            .rotate(&[&payload])?;
-        self.journal = Some(rotated);
-        Ok(())
+        self.rotate(&[&payload])
     }
 }
 
@@ -300,59 +395,6 @@ fn decode_done(bytes: &[u8]) -> Result<TaskResult, CkptError> {
     let archive = ParetoArchive::read_ckpt(&mut dec)?;
     dec.finish()?;
     Ok(TaskResult { outcome, archive })
-}
-
-fn encode_ckpt(
-    driver: &MethodDriver,
-    evaluator_state: &EvaluatorState,
-    archive: &ParetoArchive,
-    round: usize,
-    last_line_sims: usize,
-    lines: &[String],
-) -> Vec<u8> {
-    let mut enc = Enc::with_magic(CKPT_MAGIC);
-    enc.bytes(&driver.save());
-    evaluator_state.write_ckpt(&mut enc);
-    archive.write_ckpt(&mut enc);
-    enc.usize(round);
-    enc.usize(last_line_sims);
-    enc.usize(lines.len());
-    for l in lines {
-        enc.str(l);
-    }
-    enc.finish()
-}
-
-struct ResumedTask {
-    driver: MethodDriver,
-    evaluator_state: EvaluatorState,
-    archive: ParetoArchive,
-    round: usize,
-    last_line_sims: usize,
-    lines: Vec<String>,
-}
-
-fn decode_ckpt(bytes: &[u8]) -> Result<ResumedTask, CkptError> {
-    let mut dec = Dec::with_magic(bytes, CKPT_MAGIC)?;
-    let driver = MethodDriver::load(dec.bytes()?)?;
-    let evaluator_state = EvaluatorState::read_ckpt(&mut dec)?;
-    let archive = ParetoArchive::read_ckpt(&mut dec)?;
-    let round = dec.usize()?;
-    let last_line_sims = dec.usize()?;
-    let n = dec.seq_len()?;
-    let mut lines = Vec::with_capacity(n);
-    for _ in 0..n {
-        lines.push(dec.str()?);
-    }
-    dec.finish()?;
-    Ok(ResumedTask {
-        driver,
-        evaluator_state,
-        archive,
-        round,
-        last_line_sims,
-        lines,
-    })
 }
 
 fn telemetry_line(task_id: &str, round: usize, sims: usize, best: f64) -> String {
@@ -425,6 +467,8 @@ pub(crate) struct RunningTask {
     round: usize,
     last_line_sims: usize,
     lines: Vec<String>,
+    /// How many of `lines` the journal holds (and `.jsonl` received).
+    journaled_lines: usize,
     last_ckpt: usize,
 }
 
@@ -433,9 +477,11 @@ impl RunningTask {
     ///
     /// Recovery order (Contract 10): a decodable `.done` wins; then the
     /// task journal's durable *completed* record (healing the result
-    /// files byte-exactly); then the journal's latest durable
-    /// checkpoint; then a fresh start. A corrupt `.done` is quarantined,
-    /// never a panic.
+    /// files byte-exactly); then the fold of the journal's checkpoint
+    /// records, which replays every simulation in order into the cache
+    /// and the archive; then a fresh start. A resumed or fresh task gets
+    /// its `.jsonl` rewritten from the journal's lines. A corrupt
+    /// `.done` is quarantined, never a panic.
     ///
     /// # Errors
     ///
@@ -487,45 +533,50 @@ impl RunningTask {
 
         let experiment = spec.to_spec();
         let evaluator = build_evaluator(&experiment);
-        // Resume from the journal's latest durable checkpoint, or start
-        // fresh.
+        evaluator.log_simulations();
+        let archive = ParetoArchive::new().with_log().into_shared();
+        // Resume from the journal's folded checkpoints, or start fresh.
         let resumed = state
             .checkpoint
-            .as_deref()
-            .and_then(|bytes| match decode_ckpt(bytes) {
-                Ok(r) => Some(r),
+            .and_then(|delta| match MethodDriver::load(&delta.driver) {
+                Ok(driver) => Some((driver, delta)),
                 Err(e) => {
                     eprintln!("campaign: undecodable journal checkpoint for {id} ({e})");
                     None
                 }
             });
 
-        let (driver, archive, round, last_line_sims, lines) = match resumed {
-            Some(resumed) => {
-                evaluator.restore_state(&resumed.evaluator_state);
-                let shared = resumed.archive.into_shared();
-                evaluator.attach_archive(shared.clone());
-                (
-                    resumed.driver,
-                    shared,
-                    resumed.round,
-                    resumed.last_line_sims,
-                    resumed.lines,
-                )
+        let (driver, round, last_line_sims, lines) = match resumed {
+            Some((driver, delta)) => {
+                // Replaying the simulations in order rebuilds the cache
+                // and the archive exactly as the run built them (the
+                // evaluator stamped its `i`-th simulation `i + 1`).
+                {
+                    let mut archive = archive.lock();
+                    for (i, (grid, record)) in delta.simulated.iter().enumerate() {
+                        archive.insert(grid.clone(), record.ppa, i + 1);
+                    }
+                }
+                evaluator.restore_state(&EvaluatorState {
+                    entries: delta.simulated,
+                    sims: delta.sims,
+                });
+                (driver, delta.round, delta.last_line_sims, delta.lines)
             }
             None => {
                 journal.started()?;
-                let shared = ParetoArchive::new().with_log().into_shared();
-                evaluator.attach_archive(shared.clone());
                 (
                     make_driver(spec.method, &experiment, spec.seed),
-                    shared,
                     0,
                     usize::MAX, // sentinel: force a line on the first progress
                     Vec::new(),
                 )
             }
         };
+        // The mid-run `.jsonl` only ever received unsynced appends (or
+        // belongs to a void run): rebuild it from the journal.
+        fs::write_atomic(&paths.jsonl, lines.join("\n").as_bytes())?;
+        evaluator.attach_archive(archive.clone());
         let last_ckpt = driver.sims_used();
         Ok(OpenedTask::Run(Box::new(RunningTask {
             id,
@@ -536,6 +587,7 @@ impl RunningTask {
             archive,
             round,
             last_line_sims,
+            journaled_lines: lines.len(),
             lines,
             last_ckpt,
         })))
@@ -601,25 +653,31 @@ impl RunningTask {
         }
     }
 
-    /// Persists a full resume snapshot now (the journal record first,
-    /// then the `.jsonl` telemetry) — the halt/pause/shutdown hook.
+    /// Persists the work since the previous checkpoint now: one journal
+    /// record, then an unsynced append of the new telemetry lines to
+    /// `.jsonl` — the halt/pause/shutdown hook. After an error the task
+    /// must be dropped and reopened from disk.
     ///
     /// # Errors
     ///
     /// Propagates persistence failures (including injected crashes).
     pub(crate) fn checkpoint_now(&mut self) -> io::Result<()> {
-        let sims = self.driver.sims_used();
-        let bytes = encode_ckpt(
-            &self.driver,
-            &self.evaluator.state(),
-            &self.archive.lock(),
-            self.round,
-            self.last_line_sims,
-            &self.lines,
-        );
-        self.journal.checkpoint(sims as u64, &bytes)?;
-        fs::write_atomic(&self.paths.jsonl, self.lines.join("\n").as_bytes())?;
-        self.last_ckpt = sims;
+        let new_lines = &self.lines[self.journaled_lines..];
+        self.journal.checkpoint(Delta {
+            sims: self.evaluator.counter().count(),
+            simulated: self.evaluator.take_simulated(),
+            lines: new_lines.to_vec(),
+            round: self.round,
+            last_line_sims: self.last_line_sims,
+            driver: self.driver.save(),
+        })?;
+        if !new_lines.is_empty() {
+            let sep = if self.journaled_lines > 0 { "\n" } else { "" };
+            let tail = format!("{sep}{}", new_lines.join("\n"));
+            fs::append(&self.paths.jsonl, tail.as_bytes())?;
+        }
+        self.journaled_lines = self.lines.len();
+        self.last_ckpt = self.driver.sims_used();
         Ok(())
     }
 
@@ -676,4 +734,240 @@ pub(crate) fn result_front(result: &TaskResult) -> Vec<(f64, f64, usize)> {
 /// the service's cancellation GC for jobs replayed as cancelled.
 pub(crate) fn remove_task_files(dir: &Path, id: &str) {
     TaskPaths::new(dir, id).remove_all();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn spec(method: Method, seed: u64) -> JobSpec {
+        JobSpec {
+            method,
+            kind: CircuitKind::Adder,
+            width: 8,
+            tech: TechLibrary::Nangate45Like,
+            delay_weight: 0.5,
+            budget: 40,
+            seed,
+        }
+    }
+
+    fn test_dir(name: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("cv_persist_test_{}_{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create test dir");
+        dir
+    }
+
+    fn open_running(spec: &JobSpec, dir: &Path, max_bytes: u64) -> Box<RunningTask> {
+        match RunningTask::open(spec, dir, max_bytes).expect("open") {
+            OpenedTask::Run(task) => task,
+            OpenedTask::Done(_) => panic!("{} is already done", spec.id()),
+        }
+    }
+
+    /// Steps `task` through its next periodic checkpoint; `false` when
+    /// the task completed first.
+    fn step_to_checkpoint(task: &mut RunningTask, every: usize) -> bool {
+        loop {
+            match task.step(every).expect("step") {
+                TaskStep::Running { checkpointed: true } => return true,
+                TaskStep::Running { .. } => {}
+                TaskStep::Done(_) => return false,
+            }
+        }
+    }
+
+    /// Everything a resume must reproduce.
+    #[derive(Debug, PartialEq)]
+    struct Snapshot {
+        sims: usize,
+        evaluator: EvaluatorState,
+        archive: Vec<u8>,
+        lines: Vec<String>,
+        driver: Vec<u8>,
+        round: usize,
+        last_line_sims: usize,
+    }
+
+    fn snapshot(task: &RunningTask) -> Snapshot {
+        Snapshot {
+            sims: task.evaluator.counter().count(),
+            evaluator: task.evaluator.state(),
+            archive: task.archive.lock().to_ckpt_bytes(),
+            lines: task.lines.clone(),
+            driver: task.driver.save(),
+            round: task.round,
+            last_line_sims: task.last_line_sims,
+        }
+    }
+
+    /// The checkpoint records of a task halted after `checkpoints`
+    /// periodic checkpoints, as raw journal payloads.
+    fn halted_deltas(spec: &JobSpec, checkpoints: usize) -> Vec<Vec<u8>> {
+        let dir = test_dir(&format!("deltas_{}", spec.id()));
+        let mut task = open_running(spec, &dir, 1 << 20);
+        for _ in 0..checkpoints {
+            assert!(step_to_checkpoint(&mut task, 5), "halt lands mid-run");
+        }
+        task.detach();
+        drop(task);
+        let path = dir.join(format!("{}.journal", spec.id()));
+        let deltas: Vec<Vec<u8>> = Journal::read_back(&path)
+            .expect("journal readable")
+            .into_iter()
+            .filter(|r| r.first() == Some(&EV_CHECKPOINT))
+            .collect();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(deltas.len(), checkpoints);
+        deltas
+    }
+
+    #[test]
+    fn reopened_task_matches_the_uninterrupted_run_at_every_checkpoint() {
+        for method in [Method::Sa, Method::Ga, Method::Random] {
+            let spec = spec(method, 7);
+            let every = 5;
+            let clean_dir = test_dir(&format!("clean_{}", spec.id()));
+            let mut clean = open_running(&spec, &clean_dir, 1 << 20);
+            let mut reference = Vec::new();
+            while step_to_checkpoint(&mut clean, every) {
+                reference.push(snapshot(&clean));
+            }
+            assert!(reference.len() >= 4, "several checkpoints to compare");
+
+            // Halted at each checkpoint and reopened — plainly, and with
+            // every checkpoint compacting the segment.
+            for max_bytes in [1 << 20, 1] {
+                let dir = test_dir(&format!("halted_{max_bytes}_{}", spec.id()));
+                let mut task = open_running(&spec, &dir, max_bytes);
+                for (k, want) in reference.iter().enumerate() {
+                    assert!(step_to_checkpoint(&mut task, every));
+                    if k % 2 == 1 {
+                        // The halt hook: an empty delta on top.
+                        task.checkpoint_now().expect("halt checkpoint");
+                    }
+                    task.detach();
+                    drop(task);
+                    task = open_running(&spec, &dir, max_bytes);
+                    let got = snapshot(&task);
+                    assert_eq!(&got, want, "{} at checkpoint {k}", spec.id());
+                    let jsonl = std::fs::read(dir.join(format!("{}.jsonl", spec.id())))
+                        .expect("reopen rewrites .jsonl");
+                    assert_eq!(jsonl, got.lines.join("\n").into_bytes());
+                }
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+            let _ = std::fs::remove_dir_all(&clean_dir);
+        }
+    }
+
+    #[test]
+    fn unreadable_record_is_cut_so_a_fresh_run_survives_reopen() {
+        let spec = spec(Method::Sa, 3);
+        let dir = test_dir("unreadable");
+        let path = dir.join(format!("{}.journal", spec.id()));
+        {
+            let mut journal = Journal::open(&path).expect("create journal").journal;
+            journal.append(&[EV_STARTED]).expect("started");
+            journal
+                .append(&[0xEE, 1, 2, 3])
+                .expect("unknown tag, valid CRC");
+        }
+        let mut task = open_running(&spec, &dir, 1 << 20);
+        assert_eq!(task.sims_used(), 0, "an unreadable journal starts fresh");
+        assert!(step_to_checkpoint(&mut task, 5));
+        let sims = task.sims_used();
+        task.detach();
+        drop(task);
+        let task = open_running(&spec, &dir, 1 << 20);
+        assert!(sims > 0);
+        assert_eq!(task.sims_used(), sims, "the fresh run's checkpoint is kept");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn delta_records_decode_totally() {
+        let mut payloads = halted_deltas(&spec(Method::Sa, 5), 3);
+        payloads.extend(halted_deltas(&spec(Method::Ga, 5), 2));
+        // Every decoded record must also survive the resume path's
+        // driver decoder.
+        let decode = |bytes: &[u8]| {
+            if let Ok(TaskEvent::Checkpoint(delta)) = TaskEvent::decode(bytes) {
+                let _ = MethodDriver::load(&delta.driver);
+            }
+        };
+        for payload in &payloads {
+            let Ok(TaskEvent::Checkpoint(delta)) = TaskEvent::decode(payload) else {
+                panic!("a real delta decodes");
+            };
+            assert_eq!(TaskEvent::Checkpoint(delta).encode(), *payload);
+            let mut flipped = payload.clone();
+            for bit in 0..payload.len() * 8 {
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                decode(&flipped);
+                flipped[bit / 8] ^= 1 << (bit % 8);
+            }
+            for len in 0..payload.len() {
+                assert!(TaskEvent::decode(&payload[..len]).is_err());
+            }
+        }
+    }
+
+    #[test]
+    fn oversized_counts_are_rejected_before_allocating() {
+        let huge = |lines: bool| {
+            let mut enc = Enc::new();
+            enc.u8(EV_CHECKPOINT);
+            enc.usize(0); // sims
+            if lines {
+                enc.usize(0); // no simulations
+            }
+            enc.u64(u64::MAX / 2); // a count far past the bytes left
+            enc.finish()
+        };
+        for lines in [false, true] {
+            assert_eq!(TaskEvent::decode(&huge(lines)), Err(CkptError::Truncated));
+        }
+    }
+
+    #[test]
+    fn replay_stops_at_a_delta_that_does_not_follow() {
+        let record = |sims: usize, n: usize| {
+            TaskEvent::Checkpoint(Delta {
+                sims,
+                simulated: vec![
+                    (
+                        PrefixGrid::ripple(8),
+                        EvalRecord {
+                            cost: 1.0,
+                            ppa: cv_synth::PpaReport {
+                                area_um2: 1.0,
+                                delay_ns: 1.0,
+                                gate_count: 1,
+                                buffers_inserted: 0,
+                                gates_upsized: 0,
+                            },
+                        },
+                    );
+                    n
+                ],
+                ..Delta::default()
+            })
+            .encode()
+        };
+        let state = replay(&[
+            TaskEvent::Started.encode(),
+            record(2, 2),
+            record(3, 1),
+            record(9, 1), // skips simulations 4..=8
+            record(10, 1),
+        ]);
+        assert_eq!(state.trusted, 3);
+        let folded = state.checkpoint.expect("two deltas fold");
+        assert_eq!((folded.sims, folded.simulated.len()), (3, 3));
+        // A record starting past zero cannot open a fold either.
+        assert!(replay(&[record(4, 1)]).checkpoint.is_none());
+    }
 }

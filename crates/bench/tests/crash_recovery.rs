@@ -310,3 +310,37 @@ fn forced_journal_rotation_preserves_outputs() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
+
+/// Each checkpoint writes only the work since the previous one, so a
+/// task's durable bytes grow linearly with its simulations: at the same
+/// cadence, 4× the budget spends about 4× the durable ticks (rewriting
+/// the whole history at every checkpoint would grow them 4²×).
+#[test]
+fn durable_bytes_grow_linearly_with_simulations() {
+    let _guard = serialize();
+    let ticks_for = |budget: usize| {
+        let dir = base_dir().join(format!("linear_b{budget}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        let task = JobSpec {
+            method: Method::Sa,
+            kind: CircuitKind::Adder,
+            width: 8,
+            tech: TechLibrary::Nangate45Like,
+            delay_weight: 0.5,
+            budget,
+            seed: 21,
+        };
+        let before = failpoint::ticks();
+        let results = run_campaign(&[task], &cfg(&dir, 1 << 20));
+        let spent = failpoint::ticks() - before;
+        assert!(results[0].is_some(), "budget {budget} completes");
+        let _ = std::fs::remove_dir_all(&dir);
+        spent
+    };
+    let (small, large) = (ticks_for(60), ticks_for(240));
+    let ratio = large as f64 / small as f64;
+    assert!(
+        ratio < 6.0,
+        "4x the budget spent {ratio:.2}x the durable ticks ({small} -> {large})"
+    );
+}

@@ -47,7 +47,7 @@ use std::sync::Mutex;
 /// The kinds of durable operation the write path announces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailOp {
-    /// Creating (or truncating) a file.
+    /// Creating (or truncating) a file, or opening one for append.
     Create,
     /// Writing payload bytes (tick cost = byte count).
     Write,

@@ -15,12 +15,14 @@
 //!   crash can never durably publish an empty or torn file: the
 //!   destination either keeps its old content or has the complete new
 //!   content.
+//! * **Unsynced appends.** [`append`] extends a derived file that
+//!   recovery rebuilds from the journal, so it skips the fsync.
 //! * **Fault observability.** Every step announces itself to
 //!   [`crate::failpoint`], which is how the deterministic crash tests
 //!   tear writes at byte boundaries and kill runs between steps.
 
 use crate::failpoint::{self, FailOp, Verdict};
-use std::fs::File;
+use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -107,6 +109,22 @@ pub(crate) fn truncate(file: &File, len: u64) -> io::Result<()> {
         Verdict::Proceed => file.set_len(len),
         _ => Err(failpoint::enforce_crash(FailOp::Truncate)),
     }
+}
+
+/// Appends `bytes` to `path`, creating it if absent — **without** an
+/// fsync. Only for derived files that recovery rewrites from a journal
+/// and never trusts (a task's mid-run `.jsonl`). A crash can leave any
+/// prefix of the appended bytes, exactly as any torn write does.
+///
+/// # Errors
+///
+/// Any underlying I/O failure, or an injected crash.
+pub fn append(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let mut f = match failpoint::begin_op(FailOp::Create, 0) {
+        Verdict::Proceed => OpenOptions::new().create(true).append(true).open(path)?,
+        _ => return Err(failpoint::enforce_crash(FailOp::Create)),
+    };
+    write_all(&mut f, bytes)
 }
 
 /// Atomically and durably replaces `path` with `bytes`.

@@ -33,8 +33,9 @@
 //! previous durable state to a crash.
 //!
 //! Payloads are opaque bytes: the campaign layer encodes its own events
-//! (task started / simulated-N / checkpointed / completed) through the
-//! `cv_synth::ckpt` codec and replays them into orchestrator state.
+//! (task started / checkpoint of the work since the last one /
+//! completed) through the `cv_synth::ckpt` codec and folds them into
+//! orchestrator state.
 
 #![deny(missing_docs)]
 
@@ -225,19 +226,7 @@ impl Journal {
     /// on-disk tail may be torn, which the next [`Journal::open`]
     /// truncates away.
     pub fn append(&mut self, payload: &[u8]) -> io::Result<()> {
-        self.append_all(&[payload])
-    }
-
-    /// Appends several records as one durable write + fsync batch.
-    ///
-    /// # Errors
-    ///
-    /// As [`Journal::append`].
-    pub fn append_all(&mut self, payloads: &[&[u8]]) -> io::Result<()> {
-        let mut bytes = Vec::new();
-        for p in payloads {
-            bytes.extend_from_slice(&frame(p));
-        }
+        let bytes = frame(payload);
         fs::write_all(&mut self.file, &bytes)?;
         fs::sync(&self.file)?;
         self.len += bytes.len() as u64;

@@ -193,6 +193,41 @@ fn write_atomic_is_all_or_nothing_under_injected_crashes() {
 }
 
 #[test]
+fn file_append_tears_at_every_byte_and_a_dead_process_creates_nothing() {
+    let _guard = serialize();
+    let dir = tmp_dir("file_append");
+    let path = dir.join("task.jsonl");
+    fs::append(&path, b"first").unwrap();
+    fs::append(&path, b"\nsecond").unwrap();
+    assert_eq!(std::fs::read(&path).unwrap(), b"first\nsecond");
+
+    // Tick 1 is the open; tick 1 + k tears the write after k bytes.
+    let tail = b"\nthird line";
+    for tick in 1..=tail.len() as u64 + 1 {
+        std::fs::write(&path, b"first").unwrap();
+        failpoint::arm_ticks(tick, Mode::Error);
+        let err = fs::append(&path, tail).unwrap_err();
+        assert!(failpoint::is_crash(&err));
+        failpoint::disarm();
+        let kept = (tick as usize).saturating_sub(2).min(tail.len());
+        let mut want = b"first".to_vec();
+        want.extend_from_slice(&tail[..kept]);
+        assert_eq!(std::fs::read(&path).unwrap(), want, "tick {tick}");
+    }
+    failpoint::arm_ticks(tail.len() as u64 + 2, Mode::Error);
+    fs::append(&path, tail).unwrap();
+    failpoint::disarm();
+
+    // The open is announced: after a crash, no file is created.
+    failpoint::arm_op(FailOp::Fsync, 1, Mode::Error);
+    assert!(fs::write_atomic(&dir.join("x"), b"x").is_err());
+    assert!(fs::append(&dir.join("absent.jsonl"), b"y").is_err());
+    failpoint::disarm();
+    assert!(!dir.join("absent.jsonl").exists());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn mid_append_crash_tears_the_tail_and_recovery_truncates_it() {
     let _guard = serialize();
     let dir = tmp_dir("midappend");

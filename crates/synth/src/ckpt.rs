@@ -4,8 +4,8 @@
 //! so checkpointable state is written through this small self-describing
 //! little-endian codec instead — the same approach `cv-nn` uses for
 //! model weights. Every value is written through [`Enc`] and read back
-//! through [`Dec`]; composite types (trackers, archives, evaluator
-//! snapshots, driver states) layer `write_ckpt`/`read_ckpt` pairs on
+//! through [`Dec`]; composite types (trackers, archives, driver
+//! states, task journal records) layer `write_ckpt`/`read_ckpt` pairs on
 //! top. Floats are stored as raw IEEE-754 bits, so a checkpoint/resume
 //! round trip is bit-for-bit lossless — the property Contract 8
 //! (DESIGN.md §7) rests on.

@@ -60,35 +60,6 @@ pub struct EvaluatorState {
     pub sims: usize,
 }
 
-impl EvaluatorState {
-    /// Writes the snapshot into a checkpoint encoder.
-    pub fn write_ckpt(&self, enc: &mut crate::ckpt::Enc) {
-        enc.usize(self.entries.len());
-        for (g, rec) in &self.entries {
-            enc.grid(g);
-            enc.record(rec);
-        }
-        enc.usize(self.sims);
-    }
-
-    /// Reads a snapshot written by [`EvaluatorState::write_ckpt`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`crate::ckpt::CkptError`] on malformed input.
-    pub fn read_ckpt(dec: &mut crate::ckpt::Dec<'_>) -> Result<Self, crate::ckpt::CkptError> {
-        let n = dec.seq_len()?;
-        let mut entries = Vec::with_capacity(n);
-        for _ in 0..n {
-            entries.push((dec.grid()?, dec.record()?));
-        }
-        Ok(EvaluatorState {
-            entries,
-            sims: dec.usize()?,
-        })
-    }
-}
-
 /// A synthesis flow paired with cost parameters: the full black-box
 /// objective `f(x) = ω·10·delay + (1−ω)·area/100`.
 #[derive(Debug, Clone)]
@@ -148,6 +119,9 @@ struct Inner {
     /// (grid, PPA) to the attached archive. Observation-only — see the
     /// archiving contract on `attach_archive`.
     archive: Option<SharedArchive>,
+    /// The counted simulations not yet taken, in simulation order;
+    /// `None` unless enabled by `log_simulations`.
+    simulated: Option<Vec<(PrefixGrid, EvalRecord)>>,
 }
 
 /// A caching, counting, thread-safe evaluator.
@@ -193,6 +167,7 @@ impl CachedEvaluator {
                 cache: HashMap::new(),
                 session: None,
                 archive: None,
+                simulated: None,
             }),
             counter: SimCounter::new(),
             incremental,
@@ -220,6 +195,27 @@ impl CachedEvaluator {
     /// A handle to the attached archive, if any.
     pub fn archive(&self) -> Option<SharedArchive> {
         self.inner.lock().archive.clone()
+    }
+
+    /// Starts logging every counted simulation, in simulation order,
+    /// for [`CachedEvaluator::take_simulated`] — how a persistent task
+    /// journals only the work since its previous checkpoint. Like the
+    /// archive hook, the log only observes.
+    pub fn log_simulations(&self) {
+        self.inner.lock().simulated.get_or_insert_with(Vec::new);
+    }
+
+    /// Drains the simulations logged since the previous call, in
+    /// simulation order: the `i`-th was counted as simulation
+    /// `counter().count() - len + i + 1`. Empty unless
+    /// [`CachedEvaluator::log_simulations`] is on.
+    pub fn take_simulated(&self) -> Vec<(PrefixGrid, EvalRecord)> {
+        self.inner
+            .lock()
+            .simulated
+            .as_mut()
+            .map(std::mem::take)
+            .unwrap_or_default()
     }
 
     /// Whether cache misses use the incremental session path.
@@ -277,15 +273,18 @@ impl CachedEvaluator {
                 .lock()
                 .insert(key.clone(), rec.ppa, self.counter.count());
         }
+        if let Some(log) = &mut inner.simulated {
+            log.push((key.clone(), rec));
+        }
         inner.cache.insert(key.clone(), rec);
         rec
     }
 
     /// Captures the evaluator's replayable state — every cached
-    /// `(grid, record)` pair plus the simulation count — for
-    /// checkpointing. Entries are sorted canonically (by encoded grid
-    /// bytes) so the snapshot is deterministic regardless of hash-map
-    /// iteration order.
+    /// `(grid, record)` pair plus the simulation count — for comparing
+    /// evaluators and seeding fresh ones. Entries are sorted canonically
+    /// (by encoded grid bytes) so the snapshot is deterministic
+    /// regardless of hash-map iteration order.
     ///
     /// Restoring the snapshot into a *fresh* evaluator of the same
     /// objective ([`CachedEvaluator::restore_state`]) makes it
@@ -314,7 +313,8 @@ impl CachedEvaluator {
     /// Restores a snapshot captured by [`CachedEvaluator::state`]:
     /// replaces the cache contents and the simulation count. Intended
     /// for a freshly built evaluator of the same objective; any existing
-    /// cache entries are dropped.
+    /// cache entries are dropped. Restored entries are not logged (see
+    /// [`CachedEvaluator::log_simulations`]).
     pub fn restore_state(&self, state: &EvaluatorState) {
         self.inner.lock().cache = state.entries.iter().cloned().collect();
         self.counter.set(state.sims);
@@ -454,24 +454,12 @@ mod tests {
         }
         let state = ev.state();
         assert_eq!(state.sims, ev.counter().count());
-        // Determinism: snapshotting twice yields identical bytes.
-        let bytes = {
-            let mut e = crate::ckpt::Enc::new();
-            state.write_ckpt(&mut e);
-            e.finish()
-        };
-        let bytes2 = {
-            let mut e = crate::ckpt::Enc::new();
-            ev.state().write_ckpt(&mut e);
-            e.finish()
-        };
-        assert_eq!(bytes, bytes2, "snapshot must be canonical");
-        let decoded = EvaluatorState::read_ckpt(&mut crate::ckpt::Dec::new(&bytes)).unwrap();
-        assert_eq!(decoded, state);
+        // Determinism: snapshotting twice yields identical entries.
+        assert_eq!(ev.state(), state, "snapshot must be canonical");
         // Restore into a fresh evaluator: old queries are cache hits
         // (not re-counted), new queries count from the restored total.
         let fresh = evaluator(10, 0.5);
-        fresh.restore_state(&decoded);
+        fresh.restore_state(&state);
         let before = fresh.counter().count();
         assert_eq!(before, state.sims);
         for g in &grids {
@@ -482,6 +470,40 @@ mod tests {
         assert_eq!(fresh.counter().count(), before, "all hits, none counted");
         let _ = fresh.evaluate(&topologies::sklansky(10));
         assert_eq!(fresh.counter().count(), before + 1);
+    }
+
+    #[test]
+    fn simulation_log_takes_counted_simulations_in_order() {
+        let ev = evaluator(10, 0.5);
+        let early = ev.evaluate(&topologies::ripple(10));
+        assert!(ev.take_simulated().is_empty(), "the log is off by default");
+        ev.log_simulations();
+        let designs = [
+            topologies::sklansky(10),
+            topologies::brent_kung(10),
+            topologies::kogge_stone(10),
+        ];
+        let records: Vec<EvalRecord> = designs.iter().map(|g| ev.evaluate(g)).collect();
+        let _hit = ev.evaluate(&designs[0]);
+        let _restored_hit = ev.evaluate(&topologies::ripple(10));
+        let taken = ev.take_simulated();
+        let want: Vec<(PrefixGrid, EvalRecord)> = designs
+            .iter()
+            .map(PrefixGrid::legalized)
+            .zip(records)
+            .collect();
+        assert_eq!(taken, want, "counted misses only, in simulation order");
+        assert!(ev.take_simulated().is_empty(), "taking drains the log");
+        // A restore neither logs nor clears the log.
+        let next = ev.evaluate(&topologies::han_carlson(10));
+        ev.restore_state(&EvaluatorState {
+            entries: vec![(topologies::ripple(10), early)],
+            sims: 1,
+        });
+        assert_eq!(
+            ev.take_simulated(),
+            vec![(topologies::han_carlson(10).legalized(), next)]
+        );
     }
 
     #[test]
