@@ -1,81 +1,58 @@
-//! The **campaign** orchestrator binary: a method×seed×width×tech grid
-//! executed on the persistent driver pool, with per-round JSONL
+//! The **campaign** binary: a method×seed×width×tech grid drained by
+//! an in-process `campaignd` daemon (no socket), with per-round JSONL
 //! telemetry, periodic journaled checkpoints, and bit-exact resume.
 //!
-//! Every task is a `JobSpec` (an adder at ω = 0.66) and runs its method
-//! through the step-based `SearchDriver` engine; the campaign
-//! checkpoints each task every few simulations and can be killed (or
-//! stopped deterministically with `--halt-after N`) and re-run with the
-//! same `--dir` to continue exactly where it stopped — the final
-//! JSONL/CSV outputs byte-match an uninterrupted run (Contract 8; the
-//! CI `crash-smoke` job enforces it).
+//! Every task is a `JobSpec` (an adder at ω = 0.66) submitted to the
+//! daemon over the campaign directory, which then runs scheduling
+//! rounds until every task is done. The campaign can be killed (or
+//! stopped deterministically with `--halt-after N`: N scheduling rounds,
+//! then a checkpoint of every running task, as a `campaignd shutdown`
+//! does) and re-run with the same `--dir` to continue exactly where it
+//! stopped — the final files byte-match an uninterrupted run, whatever
+//! `--threads` (Contracts 8 and 11; the CI `kill-smoke` job enforces
+//! it). `campaignd serve --dir` can finish a halted campaign too.
 //!
 //! Emits under the campaign directory (default `results/campaign/`),
 //! with `<task>` the spec's id — the same stem `campaignd` gives it:
 //! * `<task>.journal` — the task's event journal (its resume source),
 //! * `<task>.jsonl` — per-round telemetry `{task, round, sims, best}`,
 //! * `<task>.done`  — binary outcome + frontier archive,
+//! * `campaignd.journal` — the daemon's service journal (the task list),
 //! * `campaign_summary.csv` — one row per task (written on completion).
 //!
 //! Usage: `campaign [--scale smoke|default|paper] [--dir PATH]
 //! [--halt-after N] [--threads N] [--fresh]`
+//!
+//! Exits 0 once every task is done or after a halt (with a resume
+//! hint), 1 when a task ends quarantined (its failure reason is
+//! printed), and 2 on a bad argument or when the directory holds
+//! unfinished jobs of another grid (a campaign never runs those).
 //!
 //! Fault injection: setting `CV_FAILPOINT=<ticks>` arms the
 //! `cv-journal` failpoint harness in real-kill mode — the process
 //! aborts once the durable write path has spent that many ticks (one
 //! per byte written, one per fsync/rename/…). Re-running with the same
 //! `--dir` (and no `CV_FAILPOINT`) must then resume to outputs
-//! byte-identical to an uninterrupted run; the CI `crash-smoke` job
+//! byte-identical to an uninterrupted run; the CI `kill-smoke` job
 //! cycles several such kill points and `diff -r`s the directories.
 
-use cv_bench::campaign::{run_campaign, summary_csv, CampaignConfig, JobSpec, JOURNAL_MAX_BYTES};
-use cv_bench::harness::{results_dir, Method, Scale, TechLibrary};
+use cv_bench::campaign::{run_campaign, summary_csv, CampaignError, JobSpec};
+use cv_bench::harness::{arg, results_dir, Method, Scale, TechLibrary};
 use cv_bench::service::protocol::tech_slug;
+use cv_bench::service::DaemonConfig;
 use cv_prefix::CircuitKind;
 use std::path::PathBuf;
-
-fn arg_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < args.len() {
-        if let Some(v) = args[i].strip_prefix(&format!("{name}=")) {
-            return Some(v.to_string());
-        }
-        if args[i] == name {
-            return args.get(i + 1).cloned();
-        }
-        i += 1;
-    }
-    None
-}
-
-fn arg_flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
-}
 
 fn main() {
     if cv_journal::failpoint::arm_from_env() {
         eprintln!("campaign: CV_FAILPOINT armed — this run will be killed mid-write");
     }
     let scale = Scale::from_args();
-    let dir: PathBuf = arg_value("--dir")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| results_dir().join("campaign"));
-    let halt_after: Option<usize> = arg_value("--halt-after").map(|v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("error: --halt-after expects an integer, got `{v}`");
-            std::process::exit(2);
-        })
-    });
-    let threads: usize = arg_value("--threads")
-        .map(|v| {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("error: --threads expects an integer, got `{v}`");
-                std::process::exit(2);
-            })
-        })
+    let dir: PathBuf = arg("--dir").unwrap_or_else(|| results_dir().join("campaign"));
+    let halt_after: Option<usize> = arg("--halt-after");
+    let threads: usize = arg("--threads")
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |p| p.get()));
-    if arg_flag("--fresh") {
+    if std::env::args().any(|a| a == "--fresh") {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -116,15 +93,13 @@ fn main() {
         }
     }
 
-    let cfg = CampaignConfig {
-        dir: dir.clone(),
+    let cfg = DaemonConfig {
+        threads,
         checkpoint_every: match scale {
             Scale::Smoke => 10,
             Scale::Default | Scale::Paper => 50,
         },
-        threads,
-        halt_after,
-        journal_max_bytes: JOURNAL_MAX_BYTES,
+        ..DaemonConfig::new(&dir)
     };
     println!(
         "campaign: {} tasks ({} techs × {widths:?} × {} methods × {seeds} seeds), {} threads, dir {}",
@@ -135,7 +110,17 @@ fn main() {
         dir.display()
     );
 
-    let results = run_campaign(&tasks, &cfg);
+    let results = run_campaign(&tasks, &cfg, halt_after).unwrap_or_else(|e| {
+        if let CampaignError::Foreign(_) = e {
+            eprintln!(
+                "error: {} holds {e}; re-run with --fresh or another --dir",
+                dir.display()
+            );
+            std::process::exit(2);
+        }
+        eprintln!("campaign failed: {e}");
+        std::process::exit(1);
+    });
     let incomplete = results.iter().filter(|r| r.is_none()).count();
     if incomplete > 0 {
         println!(

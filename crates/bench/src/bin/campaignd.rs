@@ -29,7 +29,7 @@
 //!   aborts once the durable write path has spent that many ticks.
 //!   Restarting with the same `--dir` replays the service journal and
 //!   resumes every job byte-identically (Contract 11; the CI
-//!   `campaignd-smoke` job cycles kill points and `diff -r`s against a
+//!   `kill-smoke` job cycles kill points and `diff -r`s against a
 //!   never-killed run).
 //! * `CV_TRANSIENT_IO=<ticks>:<window>` opens a transient IO brown-out
 //!   instead: after `<ticks>` durable-write ticks, the next `<window>`
@@ -66,6 +66,7 @@
 //! Every client subcommand prints the daemon's raw JSON response line
 //! and exits nonzero when `ok` is false.
 
+use cv_bench::harness::arg;
 use cv_bench::perf::{parse_json, Json};
 use cv_bench::service::{serve_with, Daemon, DaemonConfig, JobSpec, Request, ServeOptions};
 use std::io::{BufRead, BufReader, Write};
@@ -73,32 +74,8 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-fn arg_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < args.len() {
-        if let Some(v) = args[i].strip_prefix(&format!("{name}=")) {
-            return Some(v.to_string());
-        }
-        if args[i] == name {
-            return args.get(i + 1).cloned();
-        }
-        i += 1;
-    }
-    None
-}
-
-fn parsed_arg<T: std::str::FromStr>(name: &str) -> Option<T> {
-    arg_value(name).map(|v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("error: {name} expects a valid value, got `{v}`");
-            std::process::exit(2);
-        })
-    })
-}
-
 fn required(name: &str) -> String {
-    arg_value(name).unwrap_or_else(|| {
+    arg(name).unwrap_or_else(|| {
         eprintln!("error: {name} is required");
         std::process::exit(2);
     })
@@ -109,9 +86,7 @@ fn main() {
     match cmd.as_str() {
         "serve" => run_server(),
         "submit" => client(Request::Submit(submit_spec())),
-        "status" => client(Request::Status {
-            id: arg_value("--id"),
-        }),
+        "status" => client(Request::Status { id: arg("--id") }),
         "pause" => client(Request::Pause {
             id: required("--id"),
         }),
@@ -156,36 +131,36 @@ fn run_server() {
     if cv_bench::faults::arm_from_env() {
         eprintln!("campaignd: CV_PANIC_JOB armed — matching jobs will panic mid-step");
     }
-    let dir: PathBuf = PathBuf::from(required("--dir"));
+    let dir = PathBuf::from(required("--dir"));
     let mut cfg = DaemonConfig::new(dir);
-    if let Some(threads) = parsed_arg::<usize>("--threads") {
+    if let Some(threads) = arg::<usize>("--threads") {
         cfg.threads = threads;
     }
-    if let Some(every) = parsed_arg::<usize>("--checkpoint-every") {
+    if let Some(every) = arg::<usize>("--checkpoint-every") {
         cfg.checkpoint_every = every;
     }
-    if let Some(steps) = parsed_arg::<usize>("--slice-steps") {
+    if let Some(steps) = arg::<usize>("--slice-steps") {
         cfg.slice_steps = steps;
     }
-    if let Some(retries) = parsed_arg::<u32>("--max-retries") {
+    if let Some(retries) = arg::<u32>("--max-retries") {
         cfg.max_retries = retries;
     }
     let mut opts = ServeOptions::default();
-    if let Some(conns) = parsed_arg::<usize>("--max-conns") {
+    if let Some(conns) = arg::<usize>("--max-conns") {
         opts.max_connections = conns;
     }
-    if let Some(bytes) = parsed_arg::<usize>("--max-line-bytes") {
+    if let Some(bytes) = arg::<usize>("--max-line-bytes") {
         opts.max_line_bytes = bytes;
     }
-    if let Some(depth) = parsed_arg::<usize>("--queue-depth") {
+    if let Some(depth) = arg::<usize>("--queue-depth") {
         opts.queue_depth = depth;
     }
-    if let Some(secs) = parsed_arg::<u64>("--conn-timeout-secs") {
+    if let Some(secs) = arg::<u64>("--conn-timeout-secs") {
         opts.read_timeout = Duration::from_secs(secs);
         opts.write_timeout = Duration::from_secs(secs);
     }
-    let addr = arg_value("--addr").unwrap_or_else(|| "127.0.0.1:0".to_string());
-    let port_file = arg_value("--port-file").map(PathBuf::from);
+    let addr = arg::<String>("--addr").unwrap_or_else(|| "127.0.0.1:0".to_string());
+    let port_file = arg::<PathBuf>("--port-file");
 
     let daemon = Daemon::open(cfg).unwrap_or_else(|e| {
         eprintln!("campaignd: failed to open state directory: {e}");
@@ -206,15 +181,15 @@ fn submit_spec() -> JobSpec {
     let line = format!(
         r#"{{"cmd":"submit","job":{{"method":"{}","kind":"{}","width":{},"tech":"{}","delay_weight":{},"budget":{},"seed":{}}}}}"#,
         required("--method"),
-        arg_value("--kind").unwrap_or_else(|| "adder".to_string()),
-        parsed_arg::<usize>("--width").unwrap_or(8),
+        arg::<String>("--kind").unwrap_or_else(|| "adder".to_string()),
+        arg::<usize>("--width").unwrap_or(8),
         required("--tech"),
-        parsed_arg::<f64>("--delay-weight").unwrap_or(0.5),
-        parsed_arg::<usize>("--budget").unwrap_or_else(|| {
+        arg::<f64>("--delay-weight").unwrap_or(0.5),
+        arg::<usize>("--budget").unwrap_or_else(|| {
             eprintln!("error: --budget is required");
             std::process::exit(2);
         }),
-        parsed_arg::<u64>("--seed").unwrap_or(1),
+        arg::<u64>("--seed").unwrap_or(1),
     );
     match Request::parse(&line) {
         Ok(Request::Submit(spec)) => spec,
@@ -249,10 +224,10 @@ impl Backoff {
 /// (with exponential backoff) for the file to appear while the daemon
 /// boots.
 fn resolve_port(deadline: Instant) -> u16 {
-    if let Some(port) = parsed_arg::<u16>("--port") {
+    if let Some(port) = arg::<u16>("--port") {
         return port;
     }
-    let Some(pf) = arg_value("--port-file").map(PathBuf::from) else {
+    let Some(pf) = arg::<PathBuf>("--port-file") else {
         eprintln!("error: --port or --port-file is required");
         std::process::exit(2);
     };
@@ -302,7 +277,7 @@ fn connect(deadline: Instant) -> TcpStream {
 }
 
 fn connect_deadline() -> Instant {
-    let secs = parsed_arg::<u64>("--connect-timeout-secs").unwrap_or(10);
+    let secs = arg::<u64>("--connect-timeout-secs").unwrap_or(10);
     Instant::now() + Duration::from_secs(secs)
 }
 
@@ -364,7 +339,7 @@ fn client(req: Request) {
 /// daemon vanishes (exit 1). Quarantined jobs do not count — they need
 /// a manual `retry`.
 fn wait_drained() {
-    let timeout = parsed_arg::<u64>("--timeout-secs").unwrap_or(300);
+    let timeout = arg::<u64>("--timeout-secs").unwrap_or(300);
     let deadline = Instant::now() + Duration::from_secs(timeout);
     let mut backoff = Backoff::new(Duration::from_millis(50), Duration::from_secs(1));
     loop {

@@ -1,177 +1,181 @@
-//! The resumable campaign orchestrator: method×seed×width×tech grids
-//! executed on the process-wide [`cv_pool::WorkerPool`], with per-round
-//! JSONL telemetry and durable checkpoints that make an interrupted
-//! campaign resume bit-for-bit (Contract 8, DESIGN.md §7).
+//! The batch campaign: a method×seed×width×tech grid of [`JobSpec`]s
+//! drained by an in-process `campaignd` [`Daemon`] with no socket
+//! (DESIGN.md §7).
 //!
-//! A campaign task is a [`JobSpec`] — the same description a `campaignd`
-//! job submits — so a spec leaves the same files under the same stem
-//! ([`JobSpec::id`]) whichever front end runs it. Tasks are coarse and
-//! independent (each owns its evaluator, archive, and on-disk files),
-//! so they ride the pool's *dynamic* assignment: scheduling balances
-//! load without influencing any result.
+//! [`run_campaign`] opens the campaign directory as the daemon's state
+//! directory, refuses it if it holds another grid's unfinished jobs,
+//! submits every task, runs [`Daemon::rounds`] while one of its tasks
+//! is runnable or awaiting a retry, and reads each result back. A
+//! campaign is therefore one `campaignd` session: the same scheduler,
+//! the same per-task files under the same stem ([`JobSpec::id`]) —
+//! `<id>.journal`, `<id>.jsonl`, `<id>.done` — plus the service journal
+//! `campaignd.journal`, and the same guarantees:
 //!
-//! Each task runs one `MethodDriver` through the shared
-//! `crate::persist::RunningTask` step engine — the same engine the
-//! `campaignd` service (DESIGN.md §10) interleaves across jobs. Every
-//! `checkpoint_every` simulations the engine appends one record of the
-//! work since the previous checkpoint (the new simulations in order,
-//! the new telemetry lines, the driver's state) to the task journal
-//! `<id>.journal`, then appends the new lines to the telemetry stream
-//! `<id>.jsonl`.
-//!
-//! On completion the engine rotates the journal down to one *completed*
-//! record and writes the final `<id>.jsonl` and `<id>.done` (outcome +
-//! archive bytes). A re-run of the same campaign directory skips
-//! `.done` tasks, resumes the rest from their journal's latest
-//! checkpoint (or starts them fresh) — so after a kill (or a
-//! deterministic `halt_after` stop) the final outputs byte-match an
-//! uninterrupted run; the CI `crash-smoke` job enforces exactly that.
-//!
-//! **Durability (Contract 10, DESIGN.md §9).** Every persistent
-//! artifact flows through the audited write path in [`cv_journal::fs`]
-//! (unique staging names, fsync before rename, parent-directory sync),
-//! and each task records its life in an append-only checksummed
-//! [`cv_journal::Journal`]: *started*, one *checkpoint* record per
-//! checkpoint, *completed* (the final result and telemetry bytes) at
-//! the end. The journal is the only resume source. Recovery folds the
-//! checkpoint records of its durable prefix into the state at the last
-//! one and rewrites `<id>.jsonl` from them: a torn tail is truncated, a
-//! corrupt or truncated `.done` is logged and treated as absent (never
-//! a panic), and a crash that landed after the *completed* record but
-//! before the result files heals the files from the journal — so every
-//! injected crash point resumes to byte-identical outputs. The fault-injection
-//! proptests in `tests/crash_recovery.rs` and the CI `crash-smoke` job
-//! (`CV_FAILPOINT`) pin exactly that.
+//! * every task's files are byte-identical whichever front end runs it
+//!   and however rounds interleave it with others (Contract 11, DESIGN.md
+//!   §10), so `threads` never changes a result;
+//! * an uninterrupted campaign drains its grid in one pool dispatch:
+//!   each task is opened by the worker that reaches it and runs to
+//!   completion, so at most `threads` tasks are in memory at once;
+//! * a killed campaign (or one stopped by `halt_after`) re-run over its
+//!   directory replays the service journal and every task journal and
+//!   ends byte-identical to an uninterrupted run — and `campaignd serve
+//!   --dir` can finish it just as well. Each task's durability is
+//!   Contract 10 (DESIGN.md §9); the `tests/crash_recovery.rs` proptests
+//!   and the CI `kill-smoke` job (`CV_FAILPOINT`) pin the whole
+//!   directory;
+//! * a task whose step panics or whose durable writes fail is parked and
+//!   retried from its last checkpoint without taking the others down,
+//!   and quarantined once its retries run out (Contract 13).
 
-use crate::persist::{tech_slug, OpenedTask, RunningTask, TaskStep};
-use cv_journal::{failpoint, fs};
+use crate::persist::tech_slug;
+use crate::service::{Daemon, DaemonConfig, JobStatus, Request, Response};
+use cv_journal::failpoint;
+use std::fmt;
 use std::io;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 pub use crate::persist::{JobSpec, TaskResult};
 
-/// Campaign execution policy.
-#[derive(Debug, Clone)]
-pub struct CampaignConfig {
-    /// Where journals, telemetry and results live.
-    pub dir: PathBuf,
-    /// Simulations between checkpoints.
-    pub checkpoint_every: usize,
-    /// Worker threads of the persistent pool.
-    pub threads: usize,
-    /// Stop the whole campaign after this many checkpoint writes — the
-    /// deterministic stand-in for a mid-run kill, used by the CI
-    /// resume-equality smoke. `None` runs to completion.
-    pub halt_after: Option<usize>,
-    /// Rotate a task's event journal once its segment exceeds this many
-    /// bytes (compacting it to one record of the latest durable state). Keeps
-    /// long-running tasks' journals bounded; tests shrink it to force
-    /// rotation under fault injection.
-    pub journal_max_bytes: u64,
+/// Why [`run_campaign`] did not bring its grid to an end.
+#[derive(Debug)]
+pub enum CampaignError {
+    /// The directory holds unfinished jobs that are not tasks of this
+    /// grid (their ids): another campaign's, which a run over it would
+    /// otherwise finish. Nothing was submitted.
+    Foreign(Vec<String>),
+    /// Tasks ended quarantined (one line each, with its reason), or the
+    /// directory could not be opened or a task submitted.
+    Failed(String),
 }
 
-/// Default journal segment cap (see
-/// [`CampaignConfig::journal_max_bytes`]).
-pub const JOURNAL_MAX_BYTES: u64 = 1 << 20;
-
-/// Shared halt bookkeeping: counts checkpoint writes and flips the halt
-/// flag once the configured limit is reached.
-struct HaltState {
-    checkpoints: AtomicUsize,
-    halted: AtomicBool,
-    limit: Option<usize>,
-}
-
-impl HaltState {
-    fn new(limit: Option<usize>) -> Self {
-        HaltState {
-            checkpoints: AtomicUsize::new(0),
-            halted: AtomicBool::new(false),
-            limit,
-        }
-    }
-
-    fn halted(&self) -> bool {
-        self.halted.load(Ordering::Relaxed)
-    }
-
-    fn note_checkpoint(&self) {
-        let n = self.checkpoints.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(limit) = self.limit {
-            if n >= limit {
-                self.halted.store(true, Ordering::Relaxed);
-            }
+impl fmt::Display for CampaignError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CampaignError::Foreign(ids) => write!(
+                f,
+                "{} unfinished jobs of another grid (first: {})",
+                ids.len(),
+                ids.first().map_or("", String::as_str)
+            ),
+            CampaignError::Failed(why) => f.write_str(why),
         }
     }
 }
 
-/// Runs one task to completion (or to the campaign halt) through the
-/// shared [`RunningTask`] step engine. Returns `Ok(None)` when the task
-/// was interrupted by the halt flag (its checkpoint is on disk).
+/// Drains `tasks` on an in-process [`Daemon`] over `cfg.dir`. Returns
+/// one entry per task, in task order; `None` marks a task still pending
+/// — stopped by `halt_after` — which a re-run over the same directory
+/// resumes. An injected process death reports every task as `None`.
+///
+/// `halt_after` stops the campaign after that many scheduling rounds
+/// and checkpoints every running task, as a `campaignd shutdown` does:
+/// the deterministic stand-in for a kill. Every task steps the same
+/// number of times per round, so the halted directory does not depend
+/// on `cfg.threads`. Without it, the daemon drains the grid
+/// ([`Daemon::rounds`]`(usize::MAX)`).
 ///
 /// # Errors
 ///
-/// Propagates persistence failures — including crashes injected by an
-/// armed [`failpoint`] in `Error` mode, which the campaign treats as a
-/// process death.
-fn run_task(
-    task: &JobSpec,
-    cfg: &CampaignConfig,
-    halt: &HaltState,
-) -> io::Result<Option<TaskResult>> {
-    let mut running = match RunningTask::open(task, &cfg.dir, cfg.journal_max_bytes)? {
-        OpenedTask::Done(result) => return Ok(Some(result)),
-        OpenedTask::Run(running) => running,
-    };
-    loop {
-        if halt.halted() {
-            running.checkpoint_now()?;
-            running.detach();
-            return Ok(None);
+/// [`CampaignError::Foreign`] when the directory holds unfinished jobs
+/// outside `tasks`; otherwise the reasons of the tasks that ended
+/// quarantined, or why the directory could not be opened or a task
+/// submitted.
+pub fn run_campaign(
+    tasks: &[JobSpec],
+    cfg: &DaemonConfig,
+    halt_after: Option<usize>,
+) -> Result<Vec<Option<TaskResult>>, CampaignError> {
+    let mut daemon = match Daemon::open(cfg.clone()) {
+        Ok(daemon) => daemon,
+        Err(e) if failpoint::is_crash(&e) => return Ok(vec![None; tasks.len()]),
+        Err(e) => {
+            let why = format!("cannot open {}: {e}", cfg.dir.display());
+            return Err(CampaignError::Failed(why));
         }
-        match running.step(cfg.checkpoint_every)? {
-            TaskStep::Done(result) => return Ok(Some(*result)),
-            TaskStep::Running { checkpointed } => {
-                if checkpointed {
-                    halt.note_checkpoint();
-                }
+    };
+    let ids: Vec<String> = tasks.iter().map(JobSpec::id).collect();
+    let foreign: Vec<String> = status(&mut daemon)
+        .into_iter()
+        .filter(|job| job.state != "done" && !ids.contains(&job.id))
+        .map(|job| job.id)
+        .collect();
+    if !foreign.is_empty() {
+        return Err(CampaignError::Foreign(foreign));
+    }
+    match drain(&mut daemon, tasks, &ids, halt_after) {
+        // An injected crash: this "process" is dead and reports nothing;
+        // the directory holds whatever the crash point left durable.
+        Err(e) if failpoint::is_crash(&e) => return Ok(vec![None; tasks.len()]),
+        Err(e) => return Err(CampaignError::Failed(e.to_string())),
+        Ok(()) => {}
+    }
+    let mut quarantined = Vec::new();
+    let mut results = Vec::with_capacity(tasks.len());
+    for id in &ids {
+        let result = daemon.result(id);
+        if result.is_none() {
+            if let Ok(Response::FailInfo {
+                state: "quarantined",
+                reason,
+                ..
+            }) = daemon.handle(&Request::FailInfo { id: id.clone() })
+            {
+                quarantined.push(format!(
+                    "task {id} quarantined: {}",
+                    reason.unwrap_or_default()
+                ));
             }
         }
+        results.push(result);
+    }
+    if quarantined.is_empty() {
+        Ok(results)
+    } else {
+        Err(CampaignError::Failed(quarantined.join("\n")))
     }
 }
 
-/// Executes a campaign grid on the shared worker pool (at most
-/// [`CampaignConfig::threads`] tasks in flight). Returns one entry per
-/// task, in task order; `None` marks tasks interrupted by
-/// [`CampaignConfig::halt_after`] (resume by re-running with the same
-/// directory) or never started before the halt.
-pub fn run_campaign(tasks: &[JobSpec], cfg: &CampaignConfig) -> Vec<Option<TaskResult>> {
-    std::fs::create_dir_all(&cfg.dir).expect("campaign dir must be creatable");
-    // Recovery step zero: staging files orphaned by a kill are noise the
-    // directory must shed before it can byte-match a clean run.
-    fs::sweep_tmp(&cfg.dir).expect("campaign dir must be sweepable");
-    let halt = HaltState::new(cfg.halt_after);
-    let results: Vec<parking_lot::Mutex<Option<TaskResult>>> = tasks
-        .iter()
-        .map(|_| parking_lot::Mutex::new(None))
-        .collect();
-    cv_pool::WorkerPool::global().run_dynamic(tasks.len(), cfg.threads.max(1), |i| {
-        if halt.halted() {
-            return;
-        }
-        match run_task(&tasks[i], cfg, &halt) {
-            Ok(result) => *results[i].lock() = result,
-            Err(e) if failpoint::is_crash(&e) => {
-                // An injected crash: this "process" is dead. Stop the
-                // campaign exactly as a halt would; the on-disk state is
-                // whatever the crash point left durable.
-                halt.halted.store(true, Ordering::Relaxed);
+/// Every job of the daemon's table, as `status` reports it.
+fn status(daemon: &mut Daemon) -> Vec<JobStatus> {
+    match daemon.handle(&Request::Status { id: None }) {
+        Ok(Response::Status { jobs }) => jobs,
+        _ => Vec::new(),
+    }
+}
+
+/// Submits every task, then runs rounds while one of them is running
+/// or awaiting a retry, until `halt_after` rounds have run (then
+/// checkpoints every running task). `Err` is an injected process death
+/// or a refused submission.
+fn drain(
+    daemon: &mut Daemon,
+    tasks: &[JobSpec],
+    ids: &[String],
+    halt_after: Option<usize>,
+) -> io::Result<()> {
+    for task in tasks {
+        match daemon.handle(&Request::Submit(task.clone()))? {
+            Response::Submitted { .. } => {}
+            reply => {
+                let why = format!("cannot submit {}: {}", task.id(), reply.render());
+                return Err(io::Error::other(why));
             }
-            Err(e) => panic!("campaign persistence failed for {}: {e}", tasks[i].id()),
         }
-    });
-    results.into_iter().map(|m| m.into_inner()).collect()
+    }
+    let mut rounds = 0usize;
+    while status(daemon)
+        .iter()
+        .any(|job| matches!(job.state, "running" | "failed") && ids.contains(&job.id))
+    {
+        match halt_after {
+            Some(halt) if rounds >= halt => return daemon.checkpoint_all(),
+            Some(halt) => rounds += daemon.rounds(halt - rounds)?,
+            None => {
+                daemon.rounds(usize::MAX)?;
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Renders the campaign summary CSV (one row per completed task, in
@@ -203,8 +207,9 @@ pub fn summary_csv(tasks: &[JobSpec], results: &[Option<TaskResult>]) -> String 
 pub type Unit<T> = Box<dyn FnOnce() -> T + Send>;
 
 /// Runs independent units on the shared worker pool, preserving input
-/// order in the returned vector. The generic cousin of [`run_campaign`]
-/// — `frontier` panels and multi-seed curve sets ride on it.
+/// order in the returned vector — the compute units with no durable
+/// files (`frontier` panels, multi-seed curve sets) that ride beside
+/// [`run_campaign`]'s journaled tasks.
 pub fn run_units<T: Send>(units: Vec<Unit<T>>, threads: usize) -> Vec<T> {
     let n = units.len();
     if n == 0 {
@@ -235,6 +240,8 @@ mod tests {
     use super::*;
     use crate::harness::{Method, TechLibrary};
     use cv_prefix::CircuitKind;
+    use std::collections::BTreeMap;
+    use std::path::{Path, PathBuf};
 
     fn tiny_task(method: Method, seed: u64) -> JobSpec {
         JobSpec {
@@ -259,14 +266,12 @@ mod tests {
     fn campaign_matches_direct_runs() {
         let dir = test_dir("direct");
         let tasks = vec![tiny_task(Method::Sa, 3), tiny_task(Method::Random, 4)];
-        let cfg = CampaignConfig {
-            dir: dir.clone(),
-            checkpoint_every: usize::MAX,
+        let cfg = DaemonConfig {
             threads: 2,
-            halt_after: None,
-            journal_max_bytes: JOURNAL_MAX_BYTES,
+            checkpoint_every: usize::MAX,
+            ..DaemonConfig::new(&dir)
         };
-        let results = run_campaign(&tasks, &cfg);
+        let results = run_campaign(&tasks, &cfg, None).expect("no task quarantined");
         for (task, result) in tasks.iter().zip(&results) {
             let direct = crate::harness::run_method(task.method, &task.to_spec(), task.seed);
             let got = &result.as_ref().expect("completed").outcome;
@@ -275,51 +280,130 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Every file in `dir` as name → bytes.
+    fn dir_files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+        std::fs::read_dir(dir)
+            .expect("campaign dir exists")
+            .map(|entry| {
+                let entry = entry.expect("dir entry");
+                let name = entry.file_name().to_string_lossy().into_owned();
+                (name, std::fs::read(entry.path()).expect("file readable"))
+            })
+            .collect()
+    }
+
     #[test]
     fn halted_campaign_resumes_to_byte_identical_outputs() {
-        let base = test_dir("halt");
-        let clean_dir = base.join("clean");
-        let resumed_dir = base.join("resumed");
-        let tasks = vec![tiny_task(Method::Sa, 9), tiny_task(Method::Ga, 9)];
-        let cfg = |dir: &PathBuf, halt: Option<usize>| CampaignConfig {
-            dir: dir.clone(),
-            checkpoint_every: 7,
-            threads: 1,
-            halt_after: halt,
-            journal_max_bytes: JOURNAL_MAX_BYTES,
+        // Two tasks, and a grid larger than the daemon's cap, whose halt
+        // leaves the tasks past the cap queued, with no files.
+        let small = vec![tiny_task(Method::Sa, 9), tiny_task(Method::Ga, 9)];
+        let large: Vec<JobSpec> = (0..crate::service::MAX_OPEN_JOBS as u64 + 2)
+            .map(|seed| tiny_task(Method::Random, 100 + seed))
+            .collect();
+        for tasks in [small, large] {
+            let base = test_dir(&format!("halt_{}", tasks.len()));
+            let cfg = |dir: &str, threads: usize| DaemonConfig {
+                threads,
+                checkpoint_every: 7,
+                ..DaemonConfig::new(base.join(dir))
+            };
+            let run =
+                |cfg: &DaemonConfig, halt| run_campaign(&tasks, cfg, halt).expect("no quarantine");
+
+            let clean = run(&cfg("clean", 1), None);
+            assert!(clean.iter().all(Option::is_some));
+
+            // Halt after two rounds (mid-run for every opened task) at
+            // two pool sizes: the halted directories are byte-identical.
+            let halted = run(&cfg("resumed", 2), Some(2));
+            assert!(
+                halted.iter().all(Option::is_none),
+                "the halt must interrupt every task"
+            );
+            let opened = tasks
+                .iter()
+                .filter(|t| {
+                    base.join("resumed")
+                        .join(format!("{}.journal", t.id()))
+                        .exists()
+                })
+                .count();
+            assert_eq!(opened, tasks.len().min(crate::service::MAX_OPEN_JOBS));
+            assert_eq!(run(&cfg("halted_t1", 1), Some(2)).len(), tasks.len());
+            assert_eq!(
+                dir_files(&base.join("resumed")),
+                dir_files(&base.join("halted_t1")),
+                "the halted directory must not depend on the pool size"
+            );
+
+            let resumed = run(&cfg("resumed", 2), None);
+            assert!(resumed.iter().all(Option::is_some));
+            for (a, b) in clean.iter().zip(&resumed) {
+                let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
+                assert_eq!(a.outcome.to_ckpt_bytes(), b.outcome.to_ckpt_bytes());
+                assert_eq!(a.archive.to_ckpt_bytes(), b.archive.to_ckpt_bytes());
+            }
+            // On disk, every telemetry stream, result, task journal and
+            // the service journal byte-match too.
+            assert_eq!(
+                dir_files(&base.join("clean")),
+                dir_files(&base.join("resumed"))
+            );
+            let _ = std::fs::remove_dir_all(&base);
+        }
+    }
+
+    /// A task that keeps panicking is parked, retried and quarantined
+    /// while the others finish, and the campaign reports why; a re-run
+    /// without the fault retries it to completion.
+    #[test]
+    fn quarantined_task_fails_the_campaign_and_spares_the_rest() {
+        let dir = test_dir("quarantine");
+        let tasks = vec![tiny_task(Method::Sa, 77), tiny_task(Method::Random, 78)];
+        let (victim, healthy) = (tasks[0].id(), tasks[1].id());
+        let cfg = DaemonConfig {
+            max_retries: 1,
+            ..DaemonConfig::new(&dir)
         };
+        crate::faults::arm_panic(&victim, 4);
+        let failed = run_campaign(&tasks, &cfg, None);
+        crate::faults::disarm();
+        let reason = failed.expect_err("the victim ends quarantined").to_string();
+        assert!(reason.contains(&victim), "{reason}");
+        assert!(reason.contains("fault injection"), "{reason}");
+        assert!(dir.join(format!("{healthy}.done")).exists());
 
-        let clean = run_campaign(&tasks, &cfg(&clean_dir, None));
-        assert!(clean.iter().all(Option::is_some));
+        let healed = run_campaign(&tasks, &cfg, None).expect("the re-run heals the victim");
+        assert!(healed.iter().all(Option::is_some));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
-        // Halt after two checkpoints (mid-first-task), then resume.
-        let halted = run_campaign(&tasks, &cfg(&resumed_dir, Some(2)));
-        assert!(
-            halted.iter().any(Option::is_none),
-            "the halt must interrupt at least one task"
+    /// A campaign over a directory that holds another grid's unfinished
+    /// tasks refuses to run instead of finishing them: the first grid
+    /// stays pending (its files untouched), and still resumes.
+    #[test]
+    fn another_grid_leaves_a_halted_campaign_pending() {
+        let dir = test_dir("foreign");
+        let (first, second) = (
+            vec![tiny_task(Method::Sa, 21)],
+            vec![tiny_task(Method::Random, 22)],
         );
-        let resumed = run_campaign(&tasks, &cfg(&resumed_dir, None));
-        assert!(resumed.iter().all(Option::is_some));
-
-        for (a, b) in clean.iter().zip(&resumed) {
-            let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
-            assert_eq!(a.outcome.to_ckpt_bytes(), b.outcome.to_ckpt_bytes());
-            assert_eq!(a.archive.to_ckpt_bytes(), b.archive.to_ckpt_bytes());
+        let cfg = DaemonConfig::new(&dir);
+        let halted = run_campaign(&first, &cfg, Some(1)).expect("halts");
+        assert!(halted[0].is_none(), "the halt must interrupt the task");
+        let before = dir_files(&dir);
+        match run_campaign(&second, &cfg, None) {
+            Err(CampaignError::Foreign(ids)) => assert_eq!(ids, vec![first[0].id()]),
+            other => panic!("the second grid must be refused: {other:?}"),
         }
-        // On-disk telemetry byte-matches too.
-        for task in &tasks {
-            let id = task.id();
-            let a = std::fs::read(clean_dir.join(format!("{id}.jsonl"))).unwrap();
-            let b = std::fs::read(resumed_dir.join(format!("{id}.jsonl"))).unwrap();
-            assert_eq!(a, b, "telemetry for {id} must byte-match");
-            let a = std::fs::read(clean_dir.join(format!("{id}.done"))).unwrap();
-            let b = std::fs::read(resumed_dir.join(format!("{id}.done"))).unwrap();
-            assert_eq!(a, b, "results for {id} must byte-match");
-            let a = std::fs::read(clean_dir.join(format!("{id}.journal"))).unwrap();
-            let b = std::fs::read(resumed_dir.join(format!("{id}.journal"))).unwrap();
-            assert_eq!(a, b, "journals for {id} must byte-match");
-        }
-        let _ = std::fs::remove_dir_all(&base);
+        assert_eq!(
+            dir_files(&dir),
+            before,
+            "a refused campaign changes nothing"
+        );
+        let resumed = run_campaign(&first, &cfg, None).expect("the first grid resumes");
+        assert!(resumed[0].is_some());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

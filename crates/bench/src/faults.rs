@@ -1,6 +1,6 @@
 //! Deterministic evaluator-panic fault injection for supervision tests.
 //!
-//! The chaos suites and the CI `chaos-smoke` job need a job that
+//! The chaos suites and the CI `kill-smoke` job need a job that
 //! *panics mid-step* — not one that errors or crashes the process —
 //! to prove the daemon's per-job isolation (DESIGN.md Contract 13).
 //! This module is that lever: arm a `(fragment, sims)` pair and every

@@ -49,24 +49,7 @@ impl Scale {
     /// Exits with status 2 on an unrecognized or missing value: silently
     /// falling back could turn a typo'd smoke run into a minutes-long one.
     pub fn from_args() -> Scale {
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < args.len() {
-            if let Some(v) = args[i].strip_prefix("--scale=") {
-                return Scale::parse_or_exit(v);
-            }
-            if args[i] == "--scale" {
-                return match args.get(i + 1) {
-                    Some(v) => Scale::parse_or_exit(v),
-                    None => {
-                        eprintln!("error: --scale requires a value (smoke|default|paper)");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            i += 1;
-        }
-        Scale::Default
+        arg::<String>("--scale").map_or(Scale::Default, |v| Scale::parse_or_exit(&v))
     }
 
     fn parse_or_exit(value: &str) -> Scale {
@@ -99,6 +82,46 @@ impl Scale {
             Scale::Paper => 5,
         }
     }
+}
+
+/// The value of flag `name` in `args` (the arguments after the program
+/// name), given as `name value` or `name=value`; `Ok(None)` when the
+/// flag is absent. The first occurrence wins.
+///
+/// # Errors
+///
+/// The flag is present without a value: it is the last argument, or the
+/// next one is another `--flag`. A forgotten value must never fall back
+/// to a default — `campaign --fresh --dir` would otherwise delete the
+/// default directory.
+pub fn find_arg<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>, String> {
+    for (i, arg) in args.iter().enumerate() {
+        if let Some(value) = arg.strip_prefix(name).and_then(|v| v.strip_prefix('=')) {
+            return Ok(Some(value));
+        }
+        if arg == name {
+            return match args.get(i + 1) {
+                Some(value) if !value.starts_with("--") => Ok(Some(value)),
+                _ => Err(format!("{name} requires a value")),
+            };
+        }
+    }
+    Ok(None)
+}
+
+/// The value of flag `name` in the process arguments ([`find_arg`]),
+/// parsed as `T`; `None` when the flag is absent. Exits with status 2
+/// when the value is missing or does not parse.
+pub fn arg<T: std::str::FromStr>(name: &str) -> Option<T> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let value = find_arg(&args, name).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    })?;
+    Some(value.parse().unwrap_or_else(|_| {
+        eprintln!("error: {name} expects a valid value, got `{value}`");
+        std::process::exit(2);
+    }))
 }
 
 /// One experiment setting.
@@ -318,6 +341,33 @@ mod tests {
 
     fn tiny_spec() -> ExperimentSpec {
         ExperimentSpec::standard(8, CircuitKind::Adder, 0.5, 40)
+    }
+
+    #[test]
+    fn find_arg_reads_values_and_rejects_missing_ones() {
+        let args = |line: &str| {
+            line.split_whitespace()
+                .map(String::from)
+                .collect::<Vec<_>>()
+        };
+        let find =
+            |line: &str, name: &str| find_arg(&args(line), name).map(|v| v.map(String::from));
+        assert_eq!(find("--dir a --fresh", "--dir"), Ok(Some("a".into())));
+        assert_eq!(find("--dir=a --dir b", "--dir"), Ok(Some("a".into())));
+        assert_eq!(find("--dir= --fresh", "--dir"), Ok(Some(String::new())));
+        assert_eq!(
+            find("--delay-weight -0.5", "--delay-weight"),
+            Ok(Some("-0.5".into()))
+        );
+        assert_eq!(find("serve --dirs a --dirx=b", "--dir"), Ok(None));
+        assert_eq!(find("", "--dir"), Ok(None));
+        for line in ["--fresh --dir", "--dir --fresh", "--dir --halt-after 3"] {
+            assert_eq!(
+                find(line, "--dir"),
+                Err("--dir requires a value".into()),
+                "{line}"
+            );
+        }
     }
 
     #[test]

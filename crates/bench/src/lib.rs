@@ -17,7 +17,7 @@ mod persist;
 pub mod service;
 pub mod stats;
 
-pub use campaign::{run_campaign, run_units, CampaignConfig, JobSpec, TaskResult};
+pub use campaign::{run_campaign, run_units, JobSpec, TaskResult};
 pub use driver::{make_driver, MethodDriver, VaeMethodDriver};
 pub use harness::{
     build_evaluator, run_method, run_method_on, ExperimentSpec, Method, Scale, TechLibrary,

@@ -1,6 +1,7 @@
-//! Per-task durable persistence — the layer shared by the batch
-//! campaign orchestrator ([`crate::campaign`]) and the `campaignd`
-//! search service ([`crate::service`]).
+//! Per-task durable persistence — the layer under the one scheduler,
+//! the `campaignd` [`crate::service::Daemon`], which the batch campaign
+//! ([`crate::campaign`]) drives in-process and the service drives
+//! behind a socket.
 //!
 //! One *task* is a [`JobSpec`] — method × circuit × width × tech × ω ×
 //! budget × seed — run as a search with an on-disk life (Contract 10,
@@ -14,22 +15,22 @@
 //!   simulations in order, the new telemetry lines, and the driver's
 //!   own state. The journal is the task's only resume source: replay
 //!   folds its records into the state at the last durable one, and a
-//!   segment past its cap is compacted into one record covering
+//!   segment past its cap and twice its length after the previous
+//!   compaction (or open) is compacted into one record covering
 //!   everything since *started*;
 //! * `<id>.jsonl` — the per-round telemetry stream. Mid-run it grows
 //!   by an unsynced append after each checkpoint record and is rebuilt
-//!   from the journal whenever the task is opened; completion publishes
-//!   it atomically;
+//!   from the journal, unsynced too, whenever the task is opened;
+//!   completion publishes it atomically;
 //! * `<id>.done`  — the final outcome + frontier archive.
 //!
-//! [`RunningTask`] is the single step engine both callers drive: the
-//! campaign loops it to completion inside one pool unit, while the
-//! service interleaves *slices* of steps from many tasks on the same
-//! pool (Contract 11, DESIGN.md §10). Because every durable artifact
-//! depends only on the task's own deterministic driver/evaluator
-//! streams — never on slicing, scheduling, or checkpoint cadence — both
-//! callers produce byte-identical `.done`/`.jsonl` files and identical
-//! rotated journals for the same task.
+//! [`RunningTask`] is the step engine the daemon drives, interleaving
+//! *slices* of steps from many tasks on the shared pool (Contract 11,
+//! DESIGN.md §10). Because every durable artifact depends only on the
+//! task's own deterministic driver/evaluator streams — never on
+//! slicing, scheduling, or checkpoint cadence — every schedule and both
+//! front ends produce byte-identical `.done`/`.jsonl` files and
+//! identical rotated journals for the same task.
 
 use crate::driver::{make_driver, MethodDriver};
 use crate::harness::{build_evaluator, ExperimentSpec, Method, TechLibrary};
@@ -250,7 +251,7 @@ impl TaskEvent {
 }
 
 /// What a journal's durable prefix reconstructs: exactly the state the
-/// orchestrator held at the last durable record.
+/// step engine held at the last durable record.
 #[derive(Debug, Default)]
 struct ReplayedState {
     /// Every checkpoint since the last *started*, folded; `None` when
@@ -262,7 +263,7 @@ struct ReplayedState {
     trusted: usize,
 }
 
-/// Folds decoded journal records into orchestrator state. A record that
+/// Folds decoded journal records into step-engine state. A record that
 /// fails to decode or does not follow its predecessor (a version change
 /// — CRCs already screened out corruption) ends the trusted prefix,
 /// mirroring the torn-tail rule.
@@ -292,10 +293,15 @@ fn replay(records: &[Vec<u8>]) -> ReplayedState {
     state
 }
 
-/// A task's open journal plus the rotation policy.
+/// A task's open journal plus the compaction policy.
 struct TaskJournal {
     journal: Option<Journal>,
     max_bytes: u64,
+    /// The segment length after the last rotation or open. A compacted
+    /// record is as large as the task's whole history, so compaction
+    /// waits until the segment has doubled past it: a history beyond
+    /// `max_bytes` is re-encoded once per doubling, not per checkpoint.
+    base_len: u64,
 }
 
 impl TaskJournal {
@@ -327,6 +333,7 @@ impl TaskJournal {
         }
         Ok((
             TaskJournal {
+                base_len: journal.len(),
                 journal: Some(journal),
                 max_bytes,
             },
@@ -336,8 +343,13 @@ impl TaskJournal {
 
     /// Atomically replaces the segment with `payloads`.
     fn rotate(&mut self, payloads: &[&[u8]]) -> io::Result<()> {
-        let journal = self.journal.take().expect("journal open");
-        self.journal = Some(journal.rotate(payloads)?);
+        let journal = self
+            .journal
+            .take()
+            .expect("journal open")
+            .rotate(payloads)?;
+        self.base_len = journal.len();
+        self.journal = Some(journal);
         Ok(())
     }
 
@@ -354,12 +366,13 @@ impl TaskJournal {
     }
 
     /// Appends one checkpoint record (one durable write + fsync). Past
-    /// the cap, the segment is compacted: its records fold into one
-    /// record covering everything since *started*.
+    /// the cap and twice [`TaskJournal::base_len`], the segment is
+    /// compacted: its records fold into one record covering everything
+    /// since *started*.
     fn checkpoint(&mut self, delta: Delta) -> io::Result<()> {
         let journal = self.journal.as_mut().expect("journal open");
         journal.append(&TaskEvent::Checkpoint(delta).encode())?;
-        if journal.len() > self.max_bytes {
+        if journal.len() > self.max_bytes.max(self.base_len.saturating_mul(2)) {
             let folded = replay(&Journal::read_back(journal.path())?)
                 .checkpoint
                 .ok_or_else(|| {
@@ -441,21 +454,17 @@ pub(crate) enum OpenedTask {
 
 /// One step of a [`RunningTask`].
 pub(crate) enum TaskStep {
-    /// The driver advanced; `checkpointed` reports whether this step
-    /// crossed the checkpoint cadence (and persisted durably).
-    Running {
-        /// Whether a checkpoint was written this step.
-        checkpointed: bool,
-    },
+    /// The driver advanced (and checkpointed, when this step crossed the
+    /// checkpoint cadence).
+    Running,
     /// The driver finished; the result and its files are final.
     Done(Box<TaskResult>),
 }
 
 /// A resumable in-flight task: the step engine plus its durable tail.
 ///
-/// Both orchestrators drive this engine — the campaign runs one task
-/// per pool unit to completion, the service interleaves step slices of
-/// many tasks. All durable writes happen inside [`RunningTask::step`] /
+/// The daemon interleaves step slices of many such tasks. All durable
+/// writes happen inside [`RunningTask::step`] /
 /// [`RunningTask::checkpoint_now`], journal-first (Contract 10).
 pub(crate) struct RunningTask {
     id: String,
@@ -574,8 +583,9 @@ impl RunningTask {
             }
         };
         // The mid-run `.jsonl` only ever received unsynced appends (or
-        // belongs to a void run): rebuild it from the journal.
-        fs::write_atomic(&paths.jsonl, lines.join("\n").as_bytes())?;
+        // belongs to a void run): rebuild it from the journal, unsynced
+        // too — nothing trusts it before completion publishes it.
+        fs::overwrite(&paths.jsonl, lines.join("\n").as_bytes())?;
         evaluator.attach_archive(archive.clone());
         let last_ckpt = driver.sims_used();
         Ok(OpenedTask::Run(Box::new(RunningTask {
@@ -643,12 +653,10 @@ impl RunningTask {
                     ));
                     self.last_line_sims = sims;
                 }
-                let mut checkpointed = false;
                 if sims - self.last_ckpt >= checkpoint_every {
                     self.checkpoint_now()?;
-                    checkpointed = true;
                 }
-                Ok(TaskStep::Running { checkpointed })
+                Ok(TaskStep::Running)
             }
         }
     }
@@ -702,7 +710,7 @@ impl RunningTask {
             .collect()
     }
 
-    /// Detaches the evaluator's archive hook (halt path — the task is
+    /// Detaches the evaluator's archive hook (parking path — the task is
     /// about to be dropped without completing).
     pub(crate) fn detach(&self) {
         self.evaluator.detach_archive();
@@ -734,6 +742,13 @@ pub(crate) fn result_front(result: &TaskResult) -> Vec<(f64, f64, usize)> {
 /// the service's cancellation GC for jobs replayed as cancelled.
 pub(crate) fn remove_task_files(dir: &Path, id: &str) {
     TaskPaths::new(dir, id).remove_all();
+}
+
+/// Whether task `id` was ever opened under `dir`: its journal or its
+/// result exists (an open creates the journal before anything else).
+pub(crate) fn has_task_files(dir: &Path, id: &str) -> bool {
+    let paths = TaskPaths::new(dir, id);
+    paths.journal.exists() || paths.done.exists()
 }
 
 #[cfg(test)]
@@ -770,10 +785,11 @@ mod tests {
     /// Steps `task` through its next periodic checkpoint; `false` when
     /// the task completed first.
     fn step_to_checkpoint(task: &mut RunningTask, every: usize) -> bool {
+        let last = task.last_ckpt;
         loop {
             match task.step(every).expect("step") {
-                TaskStep::Running { checkpointed: true } => return true,
-                TaskStep::Running { .. } => {}
+                TaskStep::Running if task.last_ckpt != last => return true,
+                TaskStep::Running => {}
                 TaskStep::Done(_) => return false,
             }
         }
@@ -837,16 +853,29 @@ mod tests {
             }
             assert!(reference.len() >= 4, "several checkpoints to compare");
 
-            // Halted at each checkpoint and reopened — plainly, and with
-            // every checkpoint compacting the segment.
+            // Halted at each checkpoint and reopened — plainly, and under
+            // a 1-byte cap, where the segment is compacted whenever it
+            // has doubled since the last compaction or open. Every
+            // checkpoint write appends one record, so a segment that
+            // did not gain one was compacted.
             for max_bytes in [1 << 20, 1] {
                 let dir = test_dir(&format!("halted_{max_bytes}_{}", spec.id()));
+                let path = dir.join(format!("{}.journal", spec.id()));
                 let mut task = open_running(&spec, &dir, max_bytes);
+                let mut records = Journal::read_back(&path).expect("journal").len();
+                let mut compactions = 0;
+                let mut count = |records: &mut usize| {
+                    let now = Journal::read_back(&path).expect("journal").len();
+                    compactions += usize::from(now <= *records);
+                    *records = now;
+                };
                 for (k, want) in reference.iter().enumerate() {
                     assert!(step_to_checkpoint(&mut task, every));
+                    count(&mut records);
                     if k % 2 == 1 {
                         // The halt hook: an empty delta on top.
                         task.checkpoint_now().expect("halt checkpoint");
+                        count(&mut records);
                     }
                     task.detach();
                     drop(task);
@@ -856,6 +885,9 @@ mod tests {
                     let jsonl = std::fs::read(dir.join(format!("{}.jsonl", spec.id())))
                         .expect("reopen rewrites .jsonl");
                     assert_eq!(jsonl, got.lines.join("\n").into_bytes());
+                }
+                if max_bytes == 1 {
+                    assert!(compactions >= 2, "{}: {compactions} compactions", spec.id());
                 }
                 let _ = std::fs::remove_dir_all(&dir);
             }

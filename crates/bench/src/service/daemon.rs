@@ -2,32 +2,49 @@
 //! (DESIGN.md §10, Contract 11).
 //!
 //! A [`Daemon`] owns a directory of durable state and a table of jobs,
-//! each a `crate::persist::RunningTask` — the same step engine the
-//! batch campaign drives, so per-job artifacts (`.done`/`.jsonl`/
-//! rotated task journal) are byte-identical however the schedule
-//! interleaves them. On top of the per-job files the daemon keeps one
-//! *service journal* (`campaignd.journal`): an append-only
+//! each a `crate::persist::RunningTask` step engine, so per-job
+//! artifacts (`.done`/`.jsonl`/rotated task journal) are byte-identical
+//! however the schedule interleaves them. It is the workspace's one
+//! scheduler: `campaignd serve` drives it behind a socket, and the batch
+//! campaign ([`crate::campaign::run_campaign`]) drives it in-process.
+//! On top of the per-job files the daemon keeps one *service journal*
+//! (`campaignd.journal`): an append-only
 //! [`cv_journal::Journal`] of job-table transitions (*submitted*,
 //! *paused*, *resumed*, *cancelled*, *finished*), appended **before**
 //! the transition is applied or acknowledged. Restart replays the
-//! journal's durable prefix, reopens every surviving job from its own
-//! durable state, and compacts the journal to its canonical form — so a
+//! journal's durable prefix, reopens every surviving job that has files
+//! from its own durable state (a job that never ran stays queued), and
+//! compacts the journal to its canonical form — so a
 //! `kill -9` at any tick resumes every in-flight job byte-identically
 //! and, once drained, the directory `diff -r`-matches a never-killed
 //! run (Contract 11).
 //!
-//! **Canonical journal form.** At startup and at every GC point (a job
-//! finishing or being cancelled, or the segment outgrowing its cap) the
-//! journal is rotated down to a normal form: for each live job in id
+//! **Canonical journal form.** At startup (unless the journal already
+//! is canonical) and at every GC point (the last runnable job
+//! finishing, a job being cancelled, or the segment outgrowing its cap)
+//! the journal is rotated down to a normal form: for each live job in id
 //! order, its *submitted* record, then *paused* if paused, then
 //! *finished* if done; cancelled jobs vanish entirely. The normal form
 //! is a pure function of the job table, which is what makes the final
 //! on-disk bytes independent of the crash/restart history.
 //!
-//! **Scheduling.** One [`Daemon::round`] gives every running job a
-//! fair slice of [`DaemonConfig::slice_steps`] driver steps, dispatched
-//! onto the shared [`cv_pool::WorkerPool`] (dynamic assignment — job
-//! results never depend on which worker runs a slice). The serving loop
+//! **Scheduling.** A submitted job is *queued*: journaled, but with no
+//! engine in memory and no files on disk (`status` reports it as
+//! `running`, with no progress yet). One [`Daemon::round`] admits
+//! queued jobs, in table order, while fewer than [`MAX_OPEN_JOBS`] jobs
+//! run, and gives every running job a fair slice of
+//! [`DaemonConfig::slice_steps`] driver steps, dispatched onto the
+//! shared [`cv_pool::WorkerPool`] (dynamic assignment — job results
+//! never depend on which worker runs a slice); an admitted job is
+//! opened by the worker that runs its first slice. The cap bounds memory
+//! by a constant rather than by the number of jobs, and it is no
+//! function of [`DaemonConfig::threads`], so neither is the state of
+//! the directory after a given number of rounds. [`Daemon::rounds`]
+//! runs several rounds with no command between them in one dispatch
+//! when no job waits for a slot or a retry, and drains the table — each
+//! job opened by the worker that reaches it and run to completion —
+//! when asked for all of them; that is how the batch campaign runs.
+//! The serving loop
 //! interleaves rounds with command handling, so `pause`/`cancel` take
 //! effect at step granularity. After every round and every command the
 //! daemon publishes a read view — an immutable snapshot of the job
@@ -54,7 +71,7 @@
 //! and never behind the journal's durable prefix.
 
 use crate::persist::{
-    remove_task_files, result_front, OpenedTask, RunningTask, TaskResult, TaskStep,
+    has_task_files, remove_task_files, result_front, OpenedTask, RunningTask, TaskResult, TaskStep,
 };
 use crate::service::protocol::{JobSpec, JobStatus, Request, Response};
 use cv_journal::{fs, Journal};
@@ -62,9 +79,18 @@ use cv_pool::TaskOutcome;
 use cv_synth::ckpt::{CkptError, Dec, Enc};
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
+
+/// Default journal segment cap ([`DaemonConfig::journal_max_bytes`]).
+pub const JOURNAL_MAX_BYTES: u64 = 1 << 20;
+
+/// Most jobs a round runs at once: queued jobs wait for a slot, so
+/// running jobs hold at most this many engines (evaluator, archive,
+/// driver), however many are submitted. A paused job keeps its engine
+/// but not its slot.
+pub const MAX_OPEN_JOBS: usize = 16;
 
 /// Daemon execution policy.
 #[derive(Debug, Clone)]
@@ -77,7 +103,10 @@ pub struct DaemonConfig {
     pub checkpoint_every: usize,
     /// Driver steps per job per scheduling round.
     pub slice_steps: usize,
-    /// Rotate journals (service and per-task) past this many bytes.
+    /// Compact journals (service and per-task) past this many bytes — a
+    /// task journal only once its segment has also doubled since its
+    /// last compaction; tests shrink it to force compaction under fault
+    /// injection.
     pub journal_max_bytes: u64,
     /// Automatic retries a failing job gets before quarantine.
     pub max_retries: u32,
@@ -91,7 +120,7 @@ impl DaemonConfig {
             threads: 4,
             checkpoint_every: 16,
             slice_steps: 4,
-            journal_max_bytes: crate::campaign::JOURNAL_MAX_BYTES,
+            journal_max_bytes: JOURNAL_MAX_BYTES,
             max_retries: 3,
         }
     }
@@ -424,6 +453,12 @@ fn backoff_for(attempt: u32) -> u32 {
 
 /// A job's lifecycle state.
 enum JobState {
+    /// Submitted or revived, but with no engine in memory: reported as
+    /// `running` (or `paused`) with no progress until a round with a
+    /// free slot opens it (from its files, when it has any).
+    Queued {
+        paused: bool,
+    },
     Running(Box<RunningTask>),
     Paused(Box<RunningTask>),
     Done(TaskResult),
@@ -438,8 +473,8 @@ enum JobState {
 impl JobState {
     fn label(&self) -> &'static str {
         match self {
-            JobState::Running(_) => "running",
-            JobState::Paused(_) => "paused",
+            JobState::Running(_) | JobState::Queued { paused: false } => "running",
+            JobState::Paused(_) | JobState::Queued { paused: true } => "paused",
             JobState::Done(_) => "done",
             JobState::Failed(_) => "failed",
             JobState::Quarantined(_) => "quarantined",
@@ -463,6 +498,7 @@ impl JobSlot {
     fn view(&self) -> ViewJob {
         let state = self.state.lock();
         let (sims, best, front, failure) = match &*state {
+            JobState::Queued { .. } => (0, f64::INFINITY, Some(Vec::new()), None),
             JobState::Running(rt) | JobState::Paused(rt) => {
                 (rt.sims_used(), rt.best_cost(), Some(rt.front()), None)
             }
@@ -618,8 +654,9 @@ pub struct Daemon {
 impl Daemon {
     /// Opens (or creates) a daemon over `cfg.dir`, replaying the service
     /// journal: sweeps orphaned staging files, reopens every surviving
-    /// job from its durable per-job state, re-runs pending cancellation
-    /// GC, and compacts the journal to canonical form.
+    /// job that has files from its durable per-job state (the others
+    /// stay queued), re-runs pending cancellation GC, and compacts the
+    /// journal to canonical form unless it already is.
     ///
     /// # Errors
     ///
@@ -673,6 +710,9 @@ impl Daemon {
                     };
                     (state, retries)
                 }
+                // A job that never reached its first round has no files
+                // and stays queued; the rest reopen from their own files.
+                None if !has_task_files(&cfg.dir, &id) => (JobState::Queued { paused }, 0),
                 None => (open_job(&spec, &cfg, paused)?, 0),
             };
             jobs.push(JobSlot {
@@ -692,8 +732,10 @@ impl Daemon {
         };
         // Startup GC half 2: compact the journal to canonical form
         // (this also durably records *finished* for jobs that completed
-        // right before a crash could record them).
-        daemon.rotate_canonical()?;
+        // after the last compaction), unless it already is.
+        if daemon.canonical_records() != opened.records {
+            daemon.rotate_canonical()?;
+        }
         daemon.publish();
         Ok(daemon)
     }
@@ -725,18 +767,26 @@ impl Daemon {
         self.dead
     }
 
-    /// Whether any job is currently runnable or awaiting an automatic
-    /// retry (failed jobs need scheduler rounds to drain their
-    /// backoff; quarantined jobs do not).
+    /// Whether any job is currently runnable (running or queued) or
+    /// awaiting an automatic retry (failed jobs need scheduler rounds to
+    /// drain their backoff; quarantined jobs do not).
     pub fn has_running(&self) -> bool {
-        self.jobs
-            .iter()
-            .any(|j| matches!(&*j.state.lock(), JobState::Running(_) | JobState::Failed(_)))
+        self.jobs.iter().any(|j| {
+            matches!(
+                &*j.state.lock(),
+                JobState::Running(_) | JobState::Queued { paused: false } | JobState::Failed(_)
+            )
+        })
     }
 
-    /// The daemon's state directory.
-    pub fn dir(&self) -> &Path {
-        &self.cfg.dir
+    /// The result of job `id` once it is done; `None` while it is
+    /// running, paused or parked, or when no such job exists.
+    pub fn result(&self, id: &str) -> Option<TaskResult> {
+        let idx = self.find(id)?;
+        match &*self.jobs[idx].state.lock() {
+            JobState::Done(result) => Some(result.clone()),
+            _ => None,
+        }
     }
 
     /// The canonical journal records for the current job table (id
@@ -749,8 +799,8 @@ impl Daemon {
             let slot = &self.jobs[idx];
             records.push(ServiceEvent::Submitted(slot.spec.clone()).encode());
             match &*slot.state.lock() {
-                JobState::Running(_) => {}
-                JobState::Paused(_) => {
+                JobState::Running(_) | JobState::Queued { paused: false } => {}
+                JobState::Paused(_) | JobState::Queued { paused: true } => {
                     records.push(ServiceEvent::Paused(slot.id.clone()).encode());
                 }
                 JobState::Done(_) => {
@@ -930,53 +980,16 @@ impl Daemon {
             }
             return Ok(Response::Submitted { id, existing: true });
         }
-        // Journal first, then build: a crash after the append replays
-        // into exactly the submit the client will retry.
+        // Journal first, then admit: a crash after the append replays
+        // into exactly the submit the client will retry. The job is
+        // opened by the round that first runs it.
         self.append_event(&ServiceEvent::Submitted(spec.clone()))?;
-        let state = match open_job(spec, &self.cfg, false) {
-            Ok(state) => state,
-            Err(e) if cv_journal::failpoint::is_crash(&e) => return Err(e),
-            Err(e) => {
-                // The *submitted* record is already durable; park the
-                // job instead of desyncing the ack from the journal.
-                JobState::Failed(FailureInfo {
-                    retries: 0,
-                    backoff: backoff_for(1),
-                    sims: 0,
-                    reason: format!("open failed: {e}"),
-                })
-            }
-        };
-        let finished = matches!(state, JobState::Done(_));
-        let failed_ev = match &state {
-            JobState::Failed(info) => Some(ServiceEvent::Failed {
-                id: id.clone(),
-                retries: 0,
-                sims: 0,
-                reason: info.reason.clone(),
-            }),
-            _ => None,
-        };
         self.jobs.push(JobSlot {
             id: id.clone(),
             spec: spec.clone(),
             retries: AtomicU32::new(0),
-            state: parking_lot::Mutex::new(state),
+            state: parking_lot::Mutex::new(JobState::Queued { paused: false }),
         });
-        if let Some(ev) = failed_ev {
-            // Best-effort: losing this record replays the job as
-            // running, which just retries the open.
-            match self.append_event(&ev) {
-                Err(e) if cv_journal::failpoint::is_crash(&e) => return Err(e),
-                Err(e) => eprintln!("campaignd: failed to journal failure of {id} ({e})"),
-                Ok(()) => {}
-            }
-        }
-        if finished {
-            // The job had already completed durably under this id (a
-            // pre-crash life): record it as finished right away.
-            self.rotate_canonical_degraded()?;
-        }
         Ok(Response::Submitted {
             id,
             existing: false,
@@ -990,7 +1003,11 @@ impl Daemon {
         {
             let mut state = self.jobs[idx].state.lock();
             match &mut *state {
-                JobState::Paused(_) => return Ok(Response::Ok), // idempotent
+                JobState::Paused(_) | JobState::Queued { paused: true } => {
+                    return Ok(Response::Ok); // idempotent
+                }
+                // Nothing in memory to persist.
+                JobState::Queued { paused: false } => {}
                 JobState::Done(_) => {
                     return Ok(Response::error(format!("job {id} already finished")))
                 }
@@ -1024,10 +1041,11 @@ impl Daemon {
         }
         self.append_event(&ServiceEvent::Paused(id.to_string()))?;
         let mut state = self.jobs[idx].state.lock();
-        replace_with(&mut state, |s| match s {
+        *state = match std::mem::replace(&mut *state, JobState::Queued { paused: true }) {
             JobState::Running(rt) => JobState::Paused(rt),
+            JobState::Queued { .. } => JobState::Queued { paused: true },
             other => other,
-        });
+        };
         Ok(Response::Ok)
     }
 
@@ -1038,7 +1056,9 @@ impl Daemon {
         {
             let state = self.jobs[idx].state.lock();
             match &*state {
-                JobState::Running(_) => return Ok(Response::Ok), // idempotent
+                JobState::Running(_) | JobState::Queued { paused: false } => {
+                    return Ok(Response::Ok); // idempotent
+                }
                 JobState::Done(_) => {
                     return Ok(Response::error(format!("job {id} already finished")))
                 }
@@ -1048,15 +1068,16 @@ impl Daemon {
                         state.label()
                     )))
                 }
-                JobState::Paused(_) => {}
+                JobState::Paused(_) | JobState::Queued { paused: true } => {}
             }
         }
         self.append_event(&ServiceEvent::Resumed(id.to_string()))?;
         let mut state = self.jobs[idx].state.lock();
-        replace_with(&mut state, |s| match s {
+        *state = match std::mem::replace(&mut *state, JobState::Queued { paused: false }) {
             JobState::Paused(rt) => JobState::Running(rt),
+            JobState::Queued { .. } => JobState::Queued { paused: false },
             other => other,
-        });
+        };
         Ok(Response::Ok)
     }
 
@@ -1075,8 +1096,9 @@ impl Daemon {
         let slot = self.jobs.remove(idx);
         match slot.state.into_inner() {
             JobState::Running(rt) | JobState::Paused(rt) => rt.remove_files(),
-            // A parked job holds no engine; GC its files directly.
-            JobState::Failed(_) | JobState::Quarantined(_) => {
+            // A queued or parked job holds no engine; GC its files
+            // directly.
+            JobState::Queued { .. } | JobState::Failed(_) | JobState::Quarantined(_) => {
                 remove_task_files(&self.cfg.dir, &slot.id)
             }
             JobState::Done(_) => unreachable!("checked above"),
@@ -1103,13 +1125,12 @@ impl Daemon {
 
     /// Revives a parked job from its last durable checkpoint: journals
     /// the *retrying* transition, adjusts the retry budget (`manual`
-    /// resets it, an automatic retry burns one), and reopens the step
-    /// engine from disk — which truncates any transiently torn task
-    /// journal tail. A reopen failure parks the job again (counting
-    /// toward quarantine).
+    /// resets it, an automatic retry burns one), and queues the job, so
+    /// the round that next runs it reopens the step engine from disk —
+    /// which truncates any transiently torn task journal tail. A reopen
+    /// failure parks the job again (counting toward quarantine).
     fn retry_job(&mut self, idx: usize, manual: bool) -> io::Result<()> {
         let id = self.jobs[idx].id.clone();
-        let spec = self.jobs[idx].spec.clone();
         match self.append_event(&ServiceEvent::Retrying(id.clone())) {
             Err(e) if cv_journal::failpoint::is_crash(&e) => return Err(e),
             Err(e) => eprintln!("campaignd: failed to journal retry of {id} ({e})"),
@@ -1121,26 +1142,8 @@ impl Daemon {
             self.jobs[idx].retries.fetch_add(1, Ordering::Relaxed);
         }
         eprintln!("campaignd: retrying job {id} from its last durable checkpoint");
-        match open_job(&spec, &self.cfg, false) {
-            Ok(state) => {
-                let finished = matches!(state, JobState::Done(_));
-                *self.jobs[idx].state.lock() = state;
-                if finished {
-                    self.rotate_canonical_degraded()?;
-                }
-            }
-            Err(e) if cv_journal::failpoint::is_crash(&e) => return Err(e),
-            Err(e) => self.park_job(idx, self.parked_sims(idx), format!("reopen failed: {e}"))?,
-        }
+        *self.jobs[idx].state.lock() = JobState::Queued { paused: false };
         Ok(())
-    }
-
-    /// The last known sims count of a parked job (0 otherwise).
-    fn parked_sims(&self, idx: usize) -> usize {
-        match &*self.jobs[idx].state.lock() {
-            JobState::Failed(info) | JobState::Quarantined(info) => info.sims,
-            _ => 0,
-        }
     }
 
     /// Parks job `idx` as failed — or quarantined once its retry budget
@@ -1232,74 +1235,139 @@ impl Daemon {
     }
 
     /// Runs one scheduling round: failed jobs drain one round of
-    /// backoff (reviving the ones that reach zero), then every running
-    /// job advances by up to [`DaemonConfig::slice_steps`] driver
-    /// steps, dispatched onto the shared worker pool with **per-job
-    /// panic isolation** — a panicking or transiently-failing job is
-    /// parked (Contract 13) while every other job's slice proceeds
-    /// untouched. Jobs that complete trigger the finished-job GC
-    /// (journal compaction). Returns the number of jobs stepped
-    /// (`0` = the daemon is idle).
+    /// backoff (reviving the ones that reach zero), queued jobs are
+    /// admitted in table order while fewer than [`MAX_OPEN_JOBS`] run,
+    /// then every running job advances by up to
+    /// [`DaemonConfig::slice_steps`] driver steps, dispatched onto the
+    /// shared worker pool with **per-job panic isolation** — an admitted
+    /// job is opened by the worker running its slice, and a panicking or
+    /// transiently-failing job is parked (Contract 13) while every other
+    /// job's slice proceeds untouched. The last runnable job completing
+    /// triggers the finished-job GC (journal compaction). Returns the
+    /// number of jobs stepped (`0` = the daemon is idle).
     ///
     /// # Errors
     ///
     /// Only an injected process death (the daemon is dead from then
     /// on); every other failure degrades to parking.
     pub fn round(&mut self) -> io::Result<usize> {
-        let result = self.run_round();
+        let result = self.run_rounds(1).map(|(_, stepped)| stepped);
         self.publish();
         result
     }
 
-    fn run_round(&mut self) -> io::Result<usize> {
+    /// Runs `n` scheduling rounds with no command between them, in as
+    /// few pool dispatches as the table allows, and returns how many ran
+    /// (at least one, unless the daemon is dead). While no queued job waits for a slot and no
+    /// failed job for its retry, rounds only step the same running jobs,
+    /// so one dispatch runs each job's next `n` slices without a barrier
+    /// between them: a job's steps, files and the directory after the
+    /// last of the `n` rounds are those of [`Daemon::round`] called `n`
+    /// times (a job that fails mid-batch is parked at the batch's end).
+    ///
+    /// `n = usize::MAX` drains the table: every runnable job, queued ones
+    /// included, runs to completion in one dispatch, opened when a
+    /// worker reaches it — so beyond the jobs already open, at most
+    /// [`DaemonConfig::threads`] engines are in memory at once, and the
+    /// cap does not apply. Failed jobs first get single rounds until
+    /// their retries are due.
+    ///
+    /// # Errors
+    ///
+    /// As [`Daemon::round`].
+    pub fn rounds(&mut self, n: usize) -> io::Result<usize> {
+        let result = self.run_rounds(n).map(|(rounds, _)| rounds);
+        self.publish();
+        result
+    }
+
+    /// [`Daemon::rounds`]: returns the rounds run and the jobs stepped.
+    fn run_rounds(&mut self, n: usize) -> io::Result<(usize, usize)> {
         if self.dead {
-            return Ok(0);
+            return Ok((0, 0));
         }
         self.tick_retries()?;
-        let running: Vec<usize> = (0..self.jobs.len())
-            .filter(|&i| matches!(&*self.jobs[i].state.lock(), JobState::Running(_)))
-            .collect();
-        if running.is_empty() {
-            return Ok(0);
+        let retrying = self
+            .jobs
+            .iter()
+            .any(|j| matches!(&*j.state.lock(), JobState::Failed(_)));
+        let drain = n == usize::MAX && !retrying;
+        let mut open = self
+            .jobs
+            .iter()
+            .filter(|j| matches!(&*j.state.lock(), JobState::Running(_)))
+            .count();
+        let (mut running, mut waiting) = (Vec::new(), false);
+        for (i, job) in self.jobs.iter().enumerate() {
+            match &*job.state.lock() {
+                JobState::Running(_) => running.push(i),
+                JobState::Queued { paused: false } if drain || open < MAX_OPEN_JOBS => {
+                    open += 1;
+                    running.push(i);
+                }
+                JobState::Queued { paused: false } => waiting = true,
+                _ => {}
+            }
         }
-        let errors: Vec<parking_lot::Mutex<Option<io::Error>>> = running
+        let batch = if retrying || waiting { 1 } else { n.max(1) };
+        if running.is_empty() {
+            return Ok((1, 0));
+        }
+        // A failed job's error, and what failed: its open or its steps.
+        type Failure = Option<(&'static str, io::Error)>;
+        let errors: Vec<parking_lot::Mutex<Failure>> = running
             .iter()
             .map(|_| parking_lot::Mutex::new(None))
             .collect();
         let finished = parking_lot::Mutex::new(false);
-        let jobs = &self.jobs;
-        let (slice_steps, checkpoint_every) =
-            (self.cfg.slice_steps.max(1), self.cfg.checkpoint_every);
-        let outcomes = cv_pool::WorkerPool::global().run_dynamic_isolated(
-            running.len(),
-            self.cfg.threads.max(1),
-            |i| {
-                let mut state = jobs[running[i]].state.lock();
+        let (jobs, cfg) = (&self.jobs, &self.cfg);
+        let steps = cfg.slice_steps.max(1).saturating_mul(batch);
+        let width = cfg.threads.clamp(1, MAX_OPEN_JOBS);
+        let outcomes =
+            cv_pool::WorkerPool::global().run_dynamic_isolated(running.len(), width, |i| {
+                let job = &jobs[running[i]];
+                let mut state = job.state.lock();
+                if let JobState::Queued { .. } = &*state {
+                    match open_job(&job.spec, cfg, false) {
+                        Ok(opened) => {
+                            if let JobState::Done(_) = opened {
+                                // Completed durably in an earlier life.
+                                *finished.lock() = true;
+                            }
+                            *state = opened;
+                        }
+                        Err(e) => {
+                            *errors[i].lock() = Some(("open failed", e));
+                            return;
+                        }
+                    }
+                }
                 let JobState::Running(rt) = &mut *state else {
                     return;
                 };
-                for _ in 0..slice_steps {
-                    match rt.step(checkpoint_every) {
-                        Ok(TaskStep::Running { .. }) => {}
+                for _ in 0..steps {
+                    match rt.step(cfg.checkpoint_every) {
+                        Ok(TaskStep::Running) => {}
                         Ok(TaskStep::Done(result)) => {
                             *state = JobState::Done(*result);
                             *finished.lock() = true;
                             break;
                         }
                         Err(e) => {
-                            *errors[i].lock() = Some(e);
+                            *errors[i].lock() = Some(("persistence failure", e));
                             break;
                         }
                     }
                 }
-            },
-        );
-        let mut errs: Vec<Option<io::Error>> = errors.into_iter().map(|m| m.into_inner()).collect();
+            });
+        let mut errs: Vec<Failure> = errors.into_iter().map(|m| m.into_inner()).collect();
         // Injected process death kills the daemon, exactly as before …
         for e in errs.iter_mut() {
-            if e.as_ref().is_some_and(cv_journal::failpoint::is_crash) {
+            if e.as_ref()
+                .is_some_and(|(_, e)| cv_journal::failpoint::is_crash(e))
+            {
                 self.dead = true;
-                return Err(e.take().expect("checked some"));
+                return Err(e.take().expect("checked some").1);
             }
         }
         // … while panics and transient IO errors park only their job.
@@ -1307,9 +1375,7 @@ impl Daemon {
             let idx = running[i];
             let reason = match outcome {
                 TaskOutcome::Panicked(msg) => Some(format!("panic: {msg}")),
-                TaskOutcome::Completed => {
-                    errs[i].take().map(|e| format!("persistence failure: {e}"))
-                }
+                TaskOutcome::Completed => errs[i].take().map(|(what, e)| format!("{what}: {e}")),
             };
             let Some(reason) = reason else { continue };
             let sims = {
@@ -1323,14 +1389,16 @@ impl Daemon {
             };
             self.park_job(idx, sims, reason)?;
         }
-        if finished.into_inner() {
-            // Finished-job GC: compact the journal so completed jobs
-            // occupy exactly their canonical *submitted* + *finished*
-            // pair — and so a fully drained table always leaves the
-            // same journal bytes, crash history or not.
+        if finished.into_inner() && !self.has_running() {
+            // Finished-job GC, once the table has nothing left to run:
+            // compact the journal so completed jobs occupy exactly their
+            // canonical *submitted* + *finished* pair — and so a fully
+            // drained table always leaves the same journal bytes, crash
+            // history or not. (*finished* is advisory: until then a
+            // replay learns it from the job's own files.)
             self.rotate_canonical_degraded()?;
         }
-        Ok(running.len())
+        Ok((batch, running.len()))
     }
 
     /// Durably checkpoints every running job (the graceful-shutdown
@@ -1375,23 +1443,6 @@ impl Daemon {
         }
         Ok(())
     }
-}
-
-/// Swaps a job state in place through a move-transforming closure.
-fn replace_with(state: &mut JobState, f: impl FnOnce(JobState) -> JobState) {
-    // A placeholder result keeps the slot valid if `f` panics midway;
-    // it is overwritten immediately on the normal path.
-    let placeholder = JobState::Done(TaskResult {
-        outcome: cv_synth::SearchOutcome {
-            history: Vec::new(),
-            best_cost: f64::INFINITY,
-            best_grid: None,
-            evaluated: Vec::new(),
-        },
-        archive: cv_synth::ParetoArchive::new(),
-    });
-    let old = std::mem::replace(state, placeholder);
-    *state = f(old);
 }
 
 /// Opens (or resumes) one job's step engine from its durable per-job

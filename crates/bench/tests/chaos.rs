@@ -12,7 +12,7 @@
 //! Once the faults clear, retrying the parked jobs drains the table to
 //! the exact clean-run directory, canonical journal included.
 //!
-//! The CI `chaos-smoke` job replays the panic half of this contract
+//! The CI `kill-smoke` job replays the panic half of this contract
 //! against the real binary over TCP (`CV_PANIC_JOB`); the
 //! malformed-frame / torn-connection half of the ingress story lives
 //! in `tests/service.rs`.

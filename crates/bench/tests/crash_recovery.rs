@@ -1,4 +1,6 @@
-//! Fault-injection suite for campaign durability (Contract 10).
+//! Fault-injection suite for campaign durability: each task's journal
+//! (Contract 10) and the whole directory of the daemon the campaign
+//! drives in-process (Contract 11).
 //!
 //! Every test kills a campaign at an injected crash point — a random
 //! durable tick, a named op boundary (pre-fsync, pre-rename), a torn
@@ -6,12 +8,14 @@
 //! disarmed and asserts the directory and the summary CSV byte-match an
 //! uninterrupted run. The crash points are driven by the `cv-journal`
 //! failpoint harness in `Error` mode, so one process can die and resume
-//! hundreds of times; the CI `crash-smoke` job replays the same
+//! hundreds of times; the CI `kill-smoke` job replays the same
 //! contract with real `CV_FAILPOINT` process aborts.
 
-use cv_bench::campaign::{run_campaign, summary_csv, CampaignConfig, JobSpec, TaskResult};
+use cv_bench::campaign::{run_campaign, summary_csv, JobSpec, TaskResult};
 use cv_bench::harness::{Method, TechLibrary};
+use cv_bench::service::{Daemon, DaemonConfig, Request};
 use cv_journal::failpoint::{self, FailOp, Mode};
+use cv_journal::Journal;
 use cv_prefix::CircuitKind;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -49,13 +53,12 @@ fn tasks() -> Vec<JobSpec> {
     vec![task(Method::Sa, 11), task(Method::Random, 12)]
 }
 
-fn cfg(dir: &Path, journal_max_bytes: u64) -> CampaignConfig {
-    CampaignConfig {
-        dir: dir.to_path_buf(),
+fn cfg(dir: &Path, journal_max_bytes: u64) -> DaemonConfig {
+    DaemonConfig {
         checkpoint_every: 5,
         threads: 1,
-        halt_after: None,
         journal_max_bytes,
+        ..DaemonConfig::new(dir)
     }
 }
 
@@ -98,7 +101,7 @@ fn baseline() -> &'static Baseline {
         let _ = std::fs::remove_dir_all(&dir);
         let tasks = tasks();
         let before = failpoint::ticks();
-        let results = run_campaign(&tasks, &cfg(&dir, 1 << 20));
+        let results = run_campaign(&tasks, &cfg(&dir, 1 << 20), None).expect("no quarantine");
         let span = failpoint::ticks() - before;
         assert!(results.iter().all(Option::is_some), "clean run completes");
         assert!(span > 0, "a persistent campaign spends durable ticks");
@@ -126,7 +129,7 @@ fn result_bytes(results: &[Option<TaskResult>]) -> Vec<(Vec<u8>, Vec<u8>)> {
 fn resume_and_check(dir: &Path, journal_max_bytes: u64) {
     failpoint::disarm();
     let tasks = tasks();
-    let resumed = run_campaign(&tasks, &cfg(dir, journal_max_bytes));
+    let resumed = run_campaign(&tasks, &cfg(dir, journal_max_bytes), None).expect("no quarantine");
     assert!(
         resumed.iter().all(Option::is_some),
         "a disarmed resume runs to completion"
@@ -154,7 +157,7 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
 
         failpoint::arm_ticks(tick, Mode::Error);
-        let halted = run_campaign(&tasks(), &cfg(&dir, 1 << 20));
+        let halted = run_campaign(&tasks(), &cfg(&dir, 1 << 20), None).expect("no quarantine");
         prop_assert!(failpoint::crashed(), "tick {tick} lies inside the run");
         prop_assert!(
             halted.iter().any(Option::is_none),
@@ -179,7 +182,7 @@ fn op_boundary_crashes_resume_byte_identical() {
             let dir = base_dir().join("op_boundary");
             let _ = std::fs::remove_dir_all(&dir);
             failpoint::arm_op(op, nth, Mode::Error);
-            let halted = run_campaign(&tasks(), &cfg(&dir, 1 << 20));
+            let halted = run_campaign(&tasks(), &cfg(&dir, 1 << 20), None).expect("no quarantine");
             assert!(
                 failpoint::crashed(),
                 "{op:?} #{nth} occurs during the campaign"
@@ -192,7 +195,8 @@ fn op_boundary_crashes_resume_byte_identical() {
 }
 
 /// A crash in the middle of a journal append leaves a torn tail. Build
-/// the reachable state directly: halt after the first checkpoint, cut
+/// the reachable state directly: halt after the first checkpoint (two
+/// rounds of four steps, checkpointing every five simulations), cut
 /// the journal mid-frame, and resume from the shorter journal prefix —
 /// with the task's mid-run `.jsonl` present and deleted, so the journal
 /// alone must resume the task. The halt leaves no `.ckpt` file: the
@@ -206,9 +210,8 @@ fn mid_append_torn_journal_tail_recovers() {
         for keep_jsonl in [true, false] {
             let dir = base_dir().join("torn_tail");
             let _ = std::fs::remove_dir_all(&dir);
-            let mut halted_cfg = cfg(&dir, 1 << 20);
-            halted_cfg.halt_after = Some(1);
-            let halted = run_campaign(&tasks(), &halted_cfg);
+            let halted =
+                run_campaign(&tasks(), &cfg(&dir, 1 << 20), Some(2)).expect("no quarantine");
             assert!(halted.iter().any(Option::is_none), "halt interrupts");
             let names = snapshot(&dir).into_keys().collect::<Vec<_>>();
             assert!(
@@ -279,20 +282,47 @@ fn done_truncated_without_journal_falls_back_to_fresh_run() {
     }
 }
 
-/// Journal rotation under a 1-byte cap (every checkpoint rotates) must
-/// not change any final artifact — and a crash while rotating must
-/// still resume clean.
+/// Journal compaction under a 1-byte cap must not change any final
+/// artifact — and a crash while compacting must still resume clean. A
+/// segment is compacted once it doubles its length after the previous
+/// compaction, so each task here still compacts at least twice.
 #[test]
 fn forced_journal_rotation_preserves_outputs() {
     let _guard = serialize();
     let base = baseline();
 
-    // Clean run under constant rotation: same final bytes.
+    // Clean run under constant compaction pressure, watched round by
+    // round (at most one checkpoint per task and round): a segment that
+    // changed without gaining a record was compacted. Same final bytes.
     let dir = base_dir().join("rotation_clean");
     let _ = std::fs::remove_dir_all(&dir);
     let tasks_v = tasks();
-    let results = run_campaign(&tasks_v, &cfg(&dir, 1));
-    assert!(results.iter().all(Option::is_some));
+    let mut daemon = Daemon::open(cfg(&dir, 1)).expect("open");
+    for task in &tasks_v {
+        daemon
+            .handle(&Request::Submit(task.clone()))
+            .expect("submit");
+    }
+    let mut segments = vec![Vec::new(); tasks_v.len()];
+    let mut compactions = vec![0; tasks_v.len()];
+    while daemon.has_running() {
+        daemon.round().expect("round");
+        for (k, task) in tasks_v.iter().enumerate() {
+            if daemon.result(&task.id()).is_none() {
+                let path = dir.join(format!("{}.journal", task.id()));
+                let records = Journal::read_back(&path).expect("journal readable");
+                if records != segments[k] && records.len() <= segments[k].len() {
+                    compactions[k] += 1;
+                }
+                segments[k] = records;
+            }
+        }
+    }
+    assert!(
+        compactions.iter().all(|&n| n >= 2),
+        "every task compacts at least twice: {compactions:?}"
+    );
+    let results: Vec<_> = tasks_v.iter().map(|t| daemon.result(&t.id())).collect();
     assert_eq!(result_bytes(&results), base.results);
     assert_snapshots_equal(&snapshot(&dir), &base.files);
     let _ = std::fs::remove_dir_all(&dir);
@@ -302,7 +332,7 @@ fn forced_journal_rotation_preserves_outputs() {
         let dir = base_dir().join("rotation_crash");
         let _ = std::fs::remove_dir_all(&dir);
         failpoint::arm_ticks((base.span / divisor).max(1), Mode::Error);
-        let halted = run_campaign(&tasks_v, &cfg(&dir, 1));
+        let halted = run_campaign(&tasks_v, &cfg(&dir, 1), None).expect("no quarantine");
         if failpoint::crashed() {
             assert!(halted.iter().any(Option::is_none));
         }
@@ -311,14 +341,16 @@ fn forced_journal_rotation_preserves_outputs() {
     }
 }
 
-/// Each checkpoint writes only the work since the previous one, so a
-/// task's durable bytes grow linearly with its simulations: at the same
-/// cadence, 4× the budget spends about 4× the durable ticks (rewriting
-/// the whole history at every checkpoint would grow them 4²×).
+/// Each checkpoint writes only the work since the previous one, and a
+/// segment is compacted only once it has doubled, so a task's durable
+/// bytes grow linearly with its simulations: at the same cadence, 4× the
+/// budget spends about 4× the durable ticks (rewriting the whole history
+/// at every checkpoint would grow them 4²×) — also under a cap the
+/// history outgrows.
 #[test]
 fn durable_bytes_grow_linearly_with_simulations() {
     let _guard = serialize();
-    let ticks_for = |budget: usize| {
+    let ticks_for = |budget: usize, journal_max_bytes: u64| {
         let dir = base_dir().join(format!("linear_b{budget}"));
         let _ = std::fs::remove_dir_all(&dir);
         let task = JobSpec {
@@ -331,16 +363,23 @@ fn durable_bytes_grow_linearly_with_simulations() {
             seed: 21,
         };
         let before = failpoint::ticks();
-        let results = run_campaign(&[task], &cfg(&dir, 1 << 20));
+        let results =
+            run_campaign(&[task], &cfg(&dir, journal_max_bytes), None).expect("no quarantine");
         let spent = failpoint::ticks() - before;
         assert!(results[0].is_some(), "budget {budget} completes");
         let _ = std::fs::remove_dir_all(&dir);
         spent
     };
-    let (small, large) = (ticks_for(60), ticks_for(240));
-    let ratio = large as f64 / small as f64;
-    assert!(
-        ratio < 6.0,
-        "4x the budget spent {ratio:.2}x the durable ticks ({small} -> {large})"
-    );
+    for journal_max_bytes in [1 << 20, 8 << 10] {
+        let (small, large) = (
+            ticks_for(60, journal_max_bytes),
+            ticks_for(240, journal_max_bytes),
+        );
+        let ratio = large as f64 / small as f64;
+        assert!(
+            ratio < 6.0,
+            "cap {journal_max_bytes}: 4x the budget spent {ratio:.2}x the durable ticks \
+             ({small} -> {large})"
+        );
+    }
 }

@@ -9,7 +9,7 @@
 //! rejection, cancellation GC, and a TCP end-to-end pass.
 
 use circuitvae::driver::SearchDriver;
-use cv_bench::campaign::{run_campaign, CampaignConfig, JOURNAL_MAX_BYTES};
+use cv_bench::campaign::run_campaign;
 use cv_bench::harness::{build_evaluator, Method, TechLibrary};
 use cv_bench::make_driver;
 use cv_bench::service::{
@@ -184,7 +184,9 @@ fn multiplexed_jobs_match_sequential_driver_loops() {
 
 /// One spec, two front ends: the batch campaign and the daemon leave
 /// the same `.done`, `.jsonl` and `.journal` bytes under the same stem,
-/// whatever their checkpoint cadences.
+/// whatever their checkpoint cadences — and a halted campaign's
+/// directory is a daemon directory: a plain `Daemon` opened over it
+/// finds the job and drains it to the same files.
 #[test]
 fn campaign_and_daemon_leave_identical_files_for_one_spec() {
     let spec = job(Method::Ga, TechLibrary::Scaled8nmLike, 30, 5);
@@ -194,18 +196,25 @@ fn campaign_and_daemon_leave_identical_files_for_one_spec() {
     drain(&mut daemon);
     drop(daemon);
 
-    let camp_dir = base_dir("front_ends_campaign");
-    let campaign = CampaignConfig {
-        dir: camp_dir.clone(),
-        checkpoint_every: cfg(&svc_dir).checkpoint_every + 2,
-        threads: 1,
-        halt_after: None,
-        journal_max_bytes: JOURNAL_MAX_BYTES,
-    };
-    assert!(run_campaign(std::slice::from_ref(&spec), &campaign)[0].is_some());
-    assert_eq!(job_files(&camp_dir, &id), job_files(&svc_dir, &id));
+    for halt_after in [None, Some(2)] {
+        let camp_dir = base_dir("front_ends_campaign");
+        let campaign = DaemonConfig {
+            checkpoint_every: cfg(&svc_dir).checkpoint_every + 2,
+            threads: 1,
+            ..DaemonConfig::new(&camp_dir)
+        };
+        let results = run_campaign(std::slice::from_ref(&spec), &campaign, halt_after)
+            .expect("no quarantine");
+        assert_eq!(results[0].is_some(), halt_after.is_none());
+        if halt_after.is_some() {
+            let mut daemon = Daemon::open(cfg(&camp_dir)).expect("reopen");
+            assert!(daemon.has_running(), "the halted campaign's job is found");
+            drain(&mut daemon);
+        }
+        assert_eq!(job_files(&camp_dir, &id), job_files(&svc_dir, &id));
+        let _ = std::fs::remove_dir_all(&camp_dir);
+    }
     let _ = std::fs::remove_dir_all(&svc_dir);
-    let _ = std::fs::remove_dir_all(&camp_dir);
 }
 
 #[test]

@@ -10,7 +10,7 @@
 //! journal, the client blindly re-submits the whole job set (submits
 //! are idempotent), the table drains, and the directory must byte-match
 //! a never-killed run — journals, telemetry, results, everything. The
-//! CI `campaignd-smoke` job replays the same contract with real
+//! CI `kill-smoke` job replays the same contract with real
 //! process aborts over TCP.
 
 use cv_bench::harness::{Method, TechLibrary};

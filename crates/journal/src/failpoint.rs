@@ -20,7 +20,7 @@
 //! Three failure modes:
 //!
 //! * [`Mode::Abort`] — the process dies via [`std::process::abort`].
-//!   This is the real-kill mode the CI `crash-smoke` job drives through
+//!   This is the real-kill mode the CI `kill-smoke` job drives through
 //!   the `CV_FAILPOINT` environment variable (see [`arm_from_env`]).
 //! * [`Mode::Error`] — the current operation returns a crash error and
 //!   **every subsequent durable operation fails too**, so an in-process
@@ -272,7 +272,7 @@ pub fn ticks() -> u64 {
 
 /// Arms the real-kill mode from the `CV_FAILPOINT` environment variable
 /// (a tick budget), as the `campaign` binary does on startup for the CI
-/// `crash-smoke` job. Returns `true` when a failpoint was armed.
+/// `kill-smoke` job. Returns `true` when a failpoint was armed.
 ///
 /// # Panics
 ///
@@ -294,7 +294,7 @@ pub fn arm_from_env() -> bool {
 
 /// Arms a transient IO brown-out from the `CV_TRANSIENT_IO` environment
 /// variable (`<ticks>:<window>`), as the `campaignd` binary does on
-/// startup for the CI `chaos-smoke` job. Returns `true` when a
+/// startup for the CI `kill-smoke` job. Returns `true` when a
 /// failpoint was armed.
 ///
 /// # Panics

@@ -15,8 +15,9 @@
 //!   crash can never durably publish an empty or torn file: the
 //!   destination either keeps its old content or has the complete new
 //!   content.
-//! * **Unsynced appends.** [`append`] extends a derived file that
-//!   recovery rebuilds from the journal, so it skips the fsync.
+//! * **Unsynced derived files.** [`append`] extends and [`overwrite`]
+//!   replaces a derived file that recovery rebuilds from the journal,
+//!   so both skip the fsync.
 //! * **Fault observability.** Every step announces itself to
 //!   [`crate::failpoint`], which is how the deterministic crash tests
 //!   tear writes at byte boundaries and kill runs between steps.
@@ -124,6 +125,20 @@ pub fn append(path: &Path, bytes: &[u8]) -> io::Result<()> {
         Verdict::Proceed => OpenOptions::new().create(true).append(true).open(path)?,
         _ => return Err(failpoint::enforce_crash(FailOp::Create)),
     };
+    write_all(&mut f, bytes)
+}
+
+/// Replaces the content of `path` with `bytes` in place, creating it if
+/// absent — **without** an fsync or a rename. Only for derived files
+/// that recovery rewrites from a journal and never trusts (a task's
+/// mid-run `.jsonl`). A crash can leave an empty file or any prefix of
+/// the new bytes, exactly as a torn [`append`] does.
+///
+/// # Errors
+///
+/// Any underlying I/O failure, or an injected crash.
+pub fn overwrite(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let mut f = create(path)?;
     write_all(&mut f, bytes)
 }
 

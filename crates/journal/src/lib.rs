@@ -8,7 +8,7 @@
 //! state the orchestrator held at the last durable record. A
 //! deterministic **fault-injection harness** ([`failpoint`]) can kill
 //! the run at any byte of any write — the crash-recovery proptests and
-//! the CI `crash-smoke` job drive it to prove that every injected crash
+//! the CI `kill-smoke` job drive it to prove that every injected crash
 //! point resumes to outputs byte-identical to an uninterrupted run
 //! (Contract 10, DESIGN.md §9).
 //!

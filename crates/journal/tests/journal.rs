@@ -228,6 +228,38 @@ fn file_append_tears_at_every_byte_and_a_dead_process_creates_nothing() {
 }
 
 #[test]
+fn file_overwrite_tears_at_every_byte_and_a_dead_create_keeps_the_old_file() {
+    let _guard = serialize();
+    let dir = tmp_dir("file_overwrite");
+    let path = dir.join("task.jsonl");
+    fs::overwrite(&path, b"old content").unwrap();
+    fs::overwrite(&path, b"new").unwrap();
+    assert_eq!(std::fs::read(&path).unwrap(), b"new");
+
+    // Tick 1 is the create: a crash there leaves the old file. Past it
+    // the file is truncated, and tick 2 + k tears the write after k
+    // bytes.
+    let bytes = b"rebuilt lines";
+    for tick in 1..=bytes.len() as u64 + 1 {
+        std::fs::write(&path, b"old content").unwrap();
+        failpoint::arm_ticks(tick, Mode::Error);
+        let err = fs::overwrite(&path, bytes).unwrap_err();
+        assert!(failpoint::is_crash(&err));
+        failpoint::disarm();
+        let want: &[u8] = match tick {
+            1 => b"old content",
+            _ => &bytes[..tick as usize - 2],
+        };
+        assert_eq!(std::fs::read(&path).unwrap(), want, "tick {tick}");
+    }
+    failpoint::arm_ticks(bytes.len() as u64 + 2, Mode::Error);
+    fs::overwrite(&path, bytes).unwrap();
+    failpoint::disarm();
+    assert_eq!(std::fs::read(&path).unwrap(), bytes);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn mid_append_crash_tears_the_tail_and_recovery_truncates_it() {
     let _guard = serialize();
     let dir = tmp_dir("midappend");
